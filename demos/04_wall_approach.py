@@ -11,34 +11,33 @@ import math
 import numpy as np
 
 from grmsim import dynamics, engine, perception
-from grmsim.dynamics import AgentState, SimParams
+from grmsim.dynamics import SimParams
 from grmsim.geometry import min_image_delta
 
 params = SimParams(t_grm=2.0, t_loom=32.0, cva=math.radians(30),
                    p_restart=0.0, horizon_steps=0)
 
-wall = [AgentState(ident=i, pos=np.array([1.0 + 2.0 * i, 40.0]),
-                   heading=math.pi / 2, speed=10.0, moving=0, moving_prev=0)
-        for i in range(24)]
-mover = AgentState(ident=99, pos=np.array([25.0, 18.0]),
-                   heading=math.radians(75), speed=22.0)
-
-world = engine.make_world(wall + [mover], params)
-streams = dynamics.trial_streams(0, len(world.agents))[1]
+# rows 0..23 are the stopped wall, the last row is the mover
+n_wall = 24
+pos = [(1.0 + 2.0 * i, 40.0) for i in range(n_wall)] + [(25.0, 18.0)]
+heading = [math.pi / 2] * n_wall + [math.radians(75)]
+speed = [10.0] * n_wall + [22.0]
+moving = [False] * n_wall + [True]
+world = engine.make_world(pos, heading, speed, params, moving=moving)
+streams = dynamics.trial_streams(0, n_wall + 1)[1]
 
 print(f"mover at 22 mm/s, 15 deg off the wall normal, stop threshold "
       f"{params.t_grm} rad/s, cva {math.degrees(params.cva):.0f} deg\n")
 print("   time   wall distance   strongest GRM")
 for t in range(4000):
-    me = next(a for a in world.agents if a.ident == 99)
-    clearance = min(
-        float(np.hypot(*min_image_delta(me.pos, a.pos, params.arena)))
-        for a in world.agents if a.ident != 99)
-    summary = perception.world_summaries(world.agents, params)[-1]
-    if t % 40 == 0 or not me.moving:
+    delta = min_image_delta(world.pos[-1], world.pos[:-1], params.arena)
+    clearance = float(np.hypot(delta[:, 0], delta[:, 1]).min())
+    vel = dynamics.velocity(world.heading, world.speed, world.moving)
+    max_grm = perception.world_summaries(world.pos, world.heading, vel, params).max_grm[-1]
+    if t % 40 == 0 or not world.moving[-1]:
         print(f"  {t * params.dt:5.2f}s   {clearance:9.2f} mm   "
-              f"{summary.max_grm:8.3f} rad/s")
-    if not me.moving:
+              f"{max_grm:8.3f} rad/s")
+    if not world.moving[-1]:
         print(f"\nstopped with {clearance:.2f} mm to spare "
               f"(collision distance {params.collision_distance} mm)")
         break

@@ -151,23 +151,6 @@ def counts_to_metrics(counts: EncounterCounts) -> Metrics:
     return Metrics(mobility=mobility, safety=safety)
 
 
-@dataclass(frozen=True)
-class TrialStats:
-    """Cross-trial means and population standard deviations.
-
-    Trials with an undefined metric are excluded from that metric's
-    statistics; ``n_*`` counts the trials that did contribute.
-    """
-
-    mean_mobility: Optional[float]
-    std_mobility: Optional[float]
-    n_mobility: int
-    mean_safety: Optional[float]
-    std_safety: Optional[float]
-    n_safety: int
-    n_trials: int
-
-
 def mean_std_defined(values: Sequence[Optional[float]]):
     """(mean, population std, count) over the non-None entries."""
     defined = [v for v in values if v is not None]
@@ -175,14 +158,3 @@ def mean_std_defined(values: Sequence[Optional[float]]):
         return None, None, 0
     arr = np.asarray(defined, dtype=float)
     return float(arr.mean()), float(arr.std()), len(defined)
-
-
-def aggregate_trials(results: Sequence[TrialResult]) -> TrialStats:
-    if not results:
-        raise ValueError("need at least one trial to aggregate")
-    mob = mean_std_defined([r.metrics.mobility for r in results])
-    saf = mean_std_defined([r.metrics.safety for r in results])
-    return TrialStats(
-        mean_mobility=mob[0], std_mobility=mob[1], n_mobility=mob[2],
-        mean_safety=saf[0], std_safety=saf[1], n_safety=saf[2],
-        n_trials=len(results))

@@ -1,5 +1,10 @@
-"""Per-agent state machine: constant-speed walking, threshold stops,
-coin-flip restarts, and Gaussian reorientation with a sensitizing spread.
+"""Agent state machine over whole-world arrays: constant-speed walking,
+threshold stops, coin-flip restarts, and Gaussian reorientation with a
+sensitizing spread.
+
+State is held as arrays with one row per agent (``pos`` (n, 2), ``heading``,
+``speed``, ``moving``, ``sigma``); the row index is the agent id.  Every
+function returns new arrays and leaves its inputs untouched.
 
 Every random draw comes from an explicitly passed ``numpy.random.Generator``.
 A trial owns one seed; ``trial_streams`` splits it into one independent
@@ -10,7 +15,7 @@ invariant to the order agents are processed in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,7 +39,6 @@ class SimParams:
     dt: float = 0.005
     arena: float = 50.0
     n_agents: int = 10
-    body_length: float = 2.0
     d_eye: float = 0.55
     v_min: float = 10.0
     v_max: float = 30.0
@@ -45,12 +49,14 @@ class SimParams:
     ipsi_field: float = math.radians(120.0)
     sigma_jump: float = math.radians(30.0)
     sigma_decay: float = 0.992
-    n_body_points: int = 14
     horizon_steps: int = 10000
     collision_distance: float = 1.2
     predict_horizon: float = 2.0
 
     def validate(self) -> "SimParams":
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.arena <= 0:
@@ -63,8 +69,6 @@ class SimParams:
             raise ValueError("p_restart must be a probability")
         if not 0.0 <= self.sigma_decay <= 1.0:
             raise ValueError("sigma_decay must be in [0, 1]")
-        if self.n_body_points != 14:
-            raise ValueError("the body outline has exactly 14 points")
         if min(self.t_grm, self.t_loom, self.cva, self.sigma_jump,
                self.collision_distance, self.predict_horizon) < 0:
             raise ValueError("thresholds and distances must be non-negative")
@@ -75,33 +79,6 @@ class SimParams:
         if self.horizon_steps < 0:
             raise ValueError("horizon_steps must be non-negative")
         return self
-
-
-@dataclass(eq=False)
-class AgentState:
-    """Pose and motion state of one agent.
-
-    ``speed`` is fixed for the agent's lifetime; ``moving`` is the 0/1 walk
-    flag and ``moving_prev`` its value on the previous step.  ``sigma`` is
-    the standard deviation used for the reorientation draw at the next stop.
-    """
-
-    ident: int
-    pos: np.ndarray
-    heading: float
-    speed: float
-    moving: int = 1
-    sigma: float = 0.0
-    moving_prev: int = 1
-
-    def velocity(self) -> np.ndarray:
-        if not self.moving:
-            return np.zeros(2)
-        return self.speed * heading_unit(self.heading)
-
-
-def heading_unit(heading: float) -> np.ndarray:
-    return np.array([math.cos(heading), math.sin(heading)])
 
 
 def make_rng(seed) -> RngStream:
@@ -116,75 +93,83 @@ def trial_streams(seed, n_agents: int) -> tuple[RngStream, list[RngStream]]:
     return init, agents
 
 
-def init_agents(params: SimParams, rng: RngStream) -> list[AgentState]:
-    """Place agents uniformly at random without initial overlap.
+def init_agents(params: SimParams, rng: RngStream
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Uniformly random ``(pos, heading, speed)`` without initial overlap.
 
     Candidate positions are redrawn until every pairwise minimum-image
     center distance exceeds the collision distance; gives up after 10^4
-    candidate draws (arena too crowded).
+    candidate draws (arena too crowded).  Positions are drawn first, then
+    all speeds, then all headings.
     """
     params.validate()
-    placed: list[np.ndarray] = []
+    pos = np.empty((params.n_agents, 2))
+    placed = 0
     attempts = 0
-    while len(placed) < params.n_agents:
+    while placed < params.n_agents:
         attempts += 1
         if attempts > 10_000:
             raise RuntimeError(
                 f"could not place {params.n_agents} agents without overlap "
                 f"in a {params.arena}mm arena after 10^4 draws")
         candidate = rng.uniform(0.0, params.arena, size=2)
-        deltas = [min_image_delta(candidate, p, params.arena) for p in placed]
-        if all(float(d @ d) > params.collision_distance ** 2 for d in deltas):
-            placed.append(candidate)
-    speeds = rng.uniform(params.v_min, params.v_max, size=params.n_agents)
-    headings = rng.uniform(0.0, TWO_PI, size=params.n_agents)
-    return [
-        AgentState(ident=i, pos=placed[i], heading=float(headings[i]),
-                   speed=float(speeds[i]))
-        for i in range(params.n_agents)
-    ]
+        delta = min_image_delta(candidate, pos[:placed], params.arena)
+        if np.all((delta * delta).sum(axis=1) > params.collision_distance ** 2):
+            pos[placed] = candidate
+            placed += 1
+    speed = rng.uniform(params.v_min, params.v_max, size=params.n_agents)
+    heading = rng.uniform(0.0, TWO_PI, size=params.n_agents)
+    return pos, heading, speed
 
 
-def control_step(state: AgentState, summary, params: SimParams,
-                 rng: RngStream) -> int:
-    """Next value of the walk flag given this step's percept summary.
+def control_step(moving: np.ndarray, max_grm: np.ndarray, omega_loom: np.ndarray,
+                 params: SimParams, rngs: list[RngStream]) -> np.ndarray:
+    """Next walk flags given this step's percept signals.
 
-    A walking agent stops iff the strongest GRM or the looming strength
-    exceeds its threshold.  A stopped agent flips a coin every step and
-    restarts only when the coin succeeds and both signals are strictly
-    below threshold.
+    A walking agent stops iff its strongest GRM or its looming strength
+    exceeds the threshold.  Every stopped agent flips a coin every step, in
+    row order, and restarts only when the coin succeeds and both signals are
+    strictly below threshold.
     """
-    if state.moving:
-        if summary.max_grm > params.t_grm or summary.omega_loom > params.t_loom:
-            return 0
-        return 1
-    u = rng.random()
-    if (summary.max_grm < params.t_grm and summary.omega_loom < params.t_loom
-            and u < params.p_restart):
-        return 1
-    return 0
+    alarm = (max_grm > params.t_grm) | (omega_loom > params.t_loom)
+    quiet = (max_grm < params.t_grm) & (omega_loom < params.t_loom)
+    lucky = np.zeros_like(moving)
+    for i in np.flatnonzero(~moving):
+        lucky[i] = rngs[i].random() < params.p_restart
+    return np.where(moving, ~alarm, quiet & lucky)
 
 
-def reorient_on_stop(state: AgentState, rng: RngStream,
-                     params: SimParams) -> tuple[float, float]:
-    """Heading and sigma update for an agent stopping this step.
+def reorient_on_stop(heading: np.ndarray, sigma: np.ndarray, stopping: np.ndarray,
+                     rngs: list[RngStream]) -> np.ndarray:
+    """Headings after this step's stops.
 
-    Draws the new heading from a Gaussian centered on the current heading
-    with the *pre-update* sigma, then applies the full per-step sigma
-    recurrence ``sigma' = decay * sigma + jump``.  Callers must not apply
-    the plain decay again for this agent on the same step.
+    Each stopping agent, in row order, draws its new heading from a Gaussian
+    centered on its current heading with its *pre-update* sigma; every other
+    agent keeps its heading.
     """
-    new_heading = float(rng.normal(state.heading, state.sigma)) % TWO_PI
-    new_sigma = params.sigma_decay * state.sigma + params.sigma_jump
-    return new_heading, new_sigma
+    new_heading = heading.copy()
+    for i in np.flatnonzero(stopping):
+        new_heading[i] = float(rngs[i].normal(heading[i], sigma[i])) % TWO_PI
+    return new_heading
 
 
-def decay_sigma(state: AgentState, params: SimParams) -> float:
-    """Per-step geometric decay of the reorientation spread."""
-    return params.sigma_decay * state.sigma
+def decay_sigma(sigma: np.ndarray, stopping: np.ndarray,
+                params: SimParams) -> np.ndarray:
+    """Per-step spread recurrence: ``sigma' = decay * sigma``, plus the jump
+    for agents stopping this step."""
+    decayed = params.sigma_decay * sigma
+    return np.where(stopping, decayed + params.sigma_jump, decayed)
 
 
-def advance(state: AgentState, params: SimParams) -> np.ndarray:
-    """New wrapped position after one time step at the current walk flag."""
-    step = state.moving * state.speed * params.dt
-    return wrap_torus(state.pos + step * heading_unit(state.heading), params.arena)
+def velocity(heading: np.ndarray, speed: np.ndarray, moving: np.ndarray) -> np.ndarray:
+    """World-frame velocities, (n, 2); exactly zero for stopped agents."""
+    unit = np.stack((np.cos(heading), np.sin(heading)), axis=1)
+    return np.where(moving[:, None], speed[:, None] * unit, 0.0)
+
+
+def advance(pos: np.ndarray, heading: np.ndarray, speed: np.ndarray,
+            moving: np.ndarray, params: SimParams) -> np.ndarray:
+    """New wrapped positions after one time step at the current walk flags."""
+    step = moving * speed * params.dt
+    unit = np.stack((np.cos(heading), np.sin(heading)), axis=1)
+    return wrap_torus(pos + step[:, None] * unit, params.arena)

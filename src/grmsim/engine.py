@@ -1,14 +1,16 @@
 """Synchronous world stepping and full-trial execution.
 
-One step: freeze the snapshot, compute every agent's percept summary from
-it, apply the walk/stop control, reorient agents that just stopped, advance
-everyone, then detect collisions and encounter transitions on the new
-positions.  Stop records carry the positions and velocities every agent had
-at the triggering snapshot, because classification later needs the state
-"at the moment of the stop".
+The world is a struct of arrays with one row per agent; the row index is
+the agent id.  One step: compute every agent's percept summary from the
+frozen snapshot, apply the walk/stop control, reorient agents that just
+stopped, advance everyone, then detect collisions and encounter transitions
+on the new positions.  Stop records keep the snapshot's position and
+velocity arrays, because classification later needs the state "at the
+moment of the stop"; a step therefore always builds new arrays and never
+writes into old ones.
 
-Everything is deterministic in (params, seed): agents are processed in
-ident order and each consumes randomness only from its own stream.
+Everything is deterministic in (params, seed): each agent consumes
+randomness only from its own stream.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analysis, dynamics, perception
-from .dynamics import AgentState, RngStream, SimParams
+from .dynamics import RngStream, SimParams
 from .geometry import min_image_delta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StopRecord:
     """A single walk-to-stop transition, with the snapshot that caused it."""
 
@@ -30,8 +32,8 @@ class StopRecord:
     agent: int
     cause_agents: frozenset[int]
     channel: str  # "GRM", "LOOM" or "both"
-    frozen_velocities: dict[int, tuple[float, float]]
-    frozen_positions: dict[int, tuple[float, float]]
+    frozen_velocities: np.ndarray  # (n, 2), row = agent
+    frozen_positions: np.ndarray   # (n, 2), row = agent
 
 
 @dataclass(frozen=True)
@@ -58,109 +60,83 @@ class StepEvents:
     encounters: list[EncounterRecord] = field(default_factory=list)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class WorldState:
-    """Frozen world at one time step, plus pair bookkeeping for debouncing."""
+    """Frozen world at one time step, plus pair bookkeeping for debouncing.
+
+    ``contact[i, j]`` (i < j) marks pairs in contact; ``t_enter[i, j]`` is
+    the step an open encounter began, or -1 when none is open.
+    """
 
     time_step: int
-    agents: list[AgentState]
+    pos: np.ndarray      # (n, 2)
+    heading: np.ndarray  # (n,)
+    speed: np.ndarray    # (n,)
+    moving: np.ndarray   # (n,) bool
+    sigma: np.ndarray    # (n,)
     params: SimParams
-    contacts: frozenset[tuple[int, int]] = frozenset()
-    open_encounters: tuple[tuple[tuple[int, int], int], ...] = ()
+    contact: np.ndarray  # (n, n) bool
+    t_enter: np.ndarray  # (n, n) int
 
 
-def make_world(agents: list[AgentState], params: SimParams) -> WorldState:
-    agents = sorted(agents, key=lambda a: a.ident)
-    idents = [a.ident for a in agents]
-    if len(set(idents)) != len(idents):
-        raise ValueError("agent idents must be unique")
-    return WorldState(0, agents, params)
+def make_world(pos, heading, speed, params: SimParams, moving=True) -> WorldState:
+    """Step-0 world from per-agent rows; ``moving`` may be one flag for all."""
+    pos = np.array(pos, dtype=float)
+    n = len(pos)
+    return WorldState(
+        0, pos, np.array(heading, dtype=float), np.array(speed, dtype=float),
+        np.broadcast_to(np.asarray(moving, dtype=bool), n).copy(), np.zeros(n),
+        params, np.zeros((n, n), dtype=bool), np.full((n, n), -1))
 
 
-def _pair_dist2(agents: list[AgentState], side: float) -> np.ndarray:
-    pos = np.array([a.pos for a in agents])
-    delta = min_image_delta(pos[:, None, :], pos[None, :, :], side)
-    return (delta ** 2).sum(axis=-1)
-
-
-def _pairs_below(agents, dist2: np.ndarray, threshold: float) -> set[tuple[int, int]]:
-    hit = dist2 < threshold ** 2
-    pairs = set()
-    n = len(agents)
-    for i in range(n):
-        row = hit[i]
-        for j in range(i + 1, n):
-            if row[j]:
-                pairs.add((agents[i].ident, agents[j].ident))
-    return pairs
-
-
-def _pair_set(agents: list[AgentState], side: float, threshold: float) -> set[tuple[int, int]]:
-    return _pairs_below(agents, _pair_dist2(agents, side), threshold)
-
-
-def detect_collisions(agents: list[AgentState], params: SimParams) -> list[tuple[int, int]]:
-    """Pairs whose minimum-image center distance is below the collision distance."""
-    return sorted(_pair_set(agents, params.arena, params.collision_distance))
+def _pairs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """(i, j) index pairs of an upper-triangular mask, in sorted order."""
+    i, j = np.nonzero(mask)
+    return list(zip(i.tolist(), j.tolist()))
 
 
 def step(world: WorldState, rngs: list[RngStream]) -> tuple[WorldState, StepEvents]:
     """Advance the world one time step; returns the new world and its events."""
     params = world.params
-    agents = world.agents
     t = world.time_step
-    summaries = perception.world_summaries(agents, params)
+    vel = dynamics.velocity(world.heading, world.speed, world.moving)
+    summary = perception.world_summaries(world.pos, world.heading, vel, params)
+
+    moving = dynamics.control_step(
+        world.moving, summary.max_grm, summary.omega_loom, params, rngs)
+    stopping = world.moving & ~moving
+    heading = dynamics.reorient_on_stop(world.heading, world.sigma, stopping, rngs)
+    sigma = dynamics.decay_sigma(world.sigma, stopping, params)
+    pos = dynamics.advance(world.pos, heading, world.speed, moving, params)
 
     events = StepEvents()
-    frozen_vel = frozen_pos = None
-    new_agents = []
-    for i, agent in enumerate(agents):
-        new_moving = dynamics.control_step(agent, summaries[i], params, rngs[i])
-        if agent.moving and not new_moving:
-            heading, sigma = dynamics.reorient_on_stop(agent, rngs[i], params)
-            if frozen_vel is None:
-                frozen_vel, frozen_pos = {}, {}
-                for a in agents:
-                    vel = a.velocity()
-                    frozen_vel[a.ident] = (float(vel[0]), float(vel[1]))
-                    frozen_pos[a.ident] = (float(a.pos[0]), float(a.pos[1]))
-            s = summaries[i]
-            grm_hit = s.max_grm > params.t_grm
-            loom_hit = s.omega_loom > params.t_loom
-            channel = "both" if (grm_hit and loom_hit) else ("GRM" if grm_hit else "LOOM")
-            causes = (s.grm_causes if grm_hit else frozenset()) | \
-                     (s.loom_causes if loom_hit else frozenset())
-            events.stops.append(StopRecord(
-                t=t, agent=agent.ident, cause_agents=causes, channel=channel,
-                frozen_velocities=frozen_vel, frozen_positions=frozen_pos))
-        else:
-            heading = agent.heading
-            sigma = dynamics.decay_sigma(agent, params)
-        successor = AgentState(
-            ident=agent.ident, pos=agent.pos, heading=heading, speed=agent.speed,
-            moving=new_moving, sigma=sigma, moving_prev=agent.moving)
-        successor.pos = dynamics.advance(successor, params)
-        new_agents.append(successor)
+    for i in np.flatnonzero(stopping).tolist():
+        grm_hit = summary.max_grm[i] > params.t_grm
+        loom_hit = summary.omega_loom[i] > params.t_loom
+        channel = "both" if (grm_hit and loom_hit) else ("GRM" if grm_hit else "LOOM")
+        causes = (grm_hit & summary.grm_causes[i]) | (loom_hit & summary.loom_causes[i])
+        events.stops.append(StopRecord(
+            t=t, agent=i, cause_agents=frozenset(np.flatnonzero(causes).tolist()),
+            channel=channel, frozen_velocities=vel, frozen_positions=world.pos))
 
-    dist2 = _pair_dist2(new_agents, params.arena)
+    delta = min_image_delta(pos[:, None, :], pos[None, :, :], params.arena)
+    dist2 = (delta ** 2).sum(axis=-1)
+    upper = np.triu(np.ones(dist2.shape, dtype=bool), k=1)
 
     # collision detection with per-episode debouncing
-    contact_now = _pairs_below(new_agents, dist2, params.collision_distance)
-    for pair in sorted(contact_now - world.contacts):
-        events.collisions.append(CollisionRecord(t=t + 1, pair=pair))
+    contact = upper & (dist2 < params.collision_distance ** 2)
+    events.collisions = [CollisionRecord(t + 1, pair)
+                         for pair in _pairs(contact & ~world.contact)]
 
     # encounter episodes: pairs inside perception range (half the arena)
-    seen_now = _pairs_below(new_agents, dist2, params.arena / 2.0)
-    open_map = dict(world.open_encounters)
-    for pair in sorted(seen_now - open_map.keys()):
-        open_map[pair] = t + 1
-    for pair in sorted(open_map.keys() - seen_now):
-        events.encounters.append(EncounterRecord(pair, open_map.pop(pair), t + 1))
+    seen = upper & (dist2 < (params.arena / 2.0) ** 2)
+    was_open = world.t_enter >= 0
+    events.encounters = [EncounterRecord((i, j), int(world.t_enter[i, j]), t + 1)
+                         for i, j in _pairs(was_open & ~seen)]
+    t_enter = np.where(seen, np.where(was_open, world.t_enter, t + 1), -1)
 
-    new_world = WorldState(
-        time_step=t + 1, agents=new_agents, params=params,
-        contacts=frozenset(contact_now),
-        open_encounters=tuple(sorted(open_map.items())))
+    new_world = WorldState(t + 1, pos, heading, world.speed, moving, sigma, params,
+                           contact, t_enter)
     return new_world, events
 
 
@@ -178,27 +154,21 @@ def run_trial(params: SimParams, seed: int,
     """Run one seeded trial for ``params.horizon_steps`` steps and classify it."""
     params.validate()
     init_rng, agent_rngs = dynamics.trial_streams(seed, params.n_agents)
-    world = make_world(dynamics.init_agents(params, init_rng), params)
+    world = make_world(*dynamics.init_agents(params, init_rng), params)
 
     stops: list[StopRecord] = []
     collisions: list[CollisionRecord] = []
     encounters: list[EncounterRecord] = []
-    pos_log, heading_log, moving_log = [], [], []
-
-    def log(w: WorldState):
-        pos_log.append([a.pos.copy() for a in w.agents])
-        heading_log.append([a.heading for a in w.agents])
-        moving_log.append([a.moving for a in w.agents])
-
-    if log_trajectories:
-        log(world)
+    pos_log, heading_log, moving_log = [world.pos], [world.heading], [world.moving]
     for _ in range(params.horizon_steps):
         world, events = step(world, agent_rngs)
         stops.extend(events.stops)
         collisions.extend(events.collisions)
         encounters.extend(events.encounters)
         if log_trajectories:
-            log(world)
+            pos_log.append(world.pos)
+            heading_log.append(world.heading)
+            moving_log.append(world.moving)
 
     trajectory = None
     if log_trajectories:

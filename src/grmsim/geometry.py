@@ -23,8 +23,8 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
-def wrap_angle(angle: float) -> float:
-    """Wrap a single angle to [-pi, pi)."""
+def wrap_angle(angle):
+    """Wrap an angle, or an array of angles, to [-pi, pi)."""
     return (angle + math.pi) % TWO_PI - math.pi
 
 

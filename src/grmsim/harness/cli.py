@@ -3,19 +3,31 @@
 Subcommands: ``simulate`` (one trial, optional frame dump), ``sweep``
 (parameter grid to CSV), ``verify`` (theorem suites), ``plot`` (CSV to SVG
 scatter).  Exit codes: 0 success, 1 verification counterexample, 2
-configuration error.
+configuration or argument error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .. import engine
 from ..dynamics import SimParams
 from . import render, sweep as sweep_mod, verify as verify_mod
 from .config import ConfigError, HarnessConfig, parse_config
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its "invalid ... value" message
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -27,22 +39,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="run one trial")
     simulate.add_argument("--config", type=Path, help="key = value config file")
-    simulate.add_argument("--seed", type=int, default=0)
+    simulate.add_argument("--seed", type=_int_at_least(0), default=0)
     simulate.add_argument("--out", type=Path, help="directory for frame dumps")
     simulate.add_argument("--log-trajectories", action="store_true")
-    simulate.add_argument("--stride", type=int, default=100,
+    simulate.add_argument("--stride", type=_int_at_least(1), default=100,
                           help="steps between dumped frames")
 
     sweep = sub.add_parser("sweep", help="run a parameter-grid sweep")
     sweep.add_argument("--config", type=Path, required=True,
                        help="config file with sweep grid keys")
     sweep.add_argument("--out", type=Path, required=True, help="CSV output path")
-    sweep.add_argument("--trials", type=int, help="override trials per cell")
-    sweep.add_argument("--workers", type=int, help="worker processes")
+    sweep.add_argument("--trials", type=_int_at_least(1), help="override trials per cell")
+    sweep.add_argument("--workers", type=_int_at_least(1), help="worker processes")
 
     verify = sub.add_parser("verify", help="run the theorem verification suites")
-    verify.add_argument("--samples", type=int, default=1000)
-    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--samples", type=_int_at_least(1), default=1000)
+    verify.add_argument("--seed", type=_int_at_least(0), default=0)
     verify.add_argument("--out", type=Path, help="report output path")
 
     plot = sub.add_parser("plot", help="render a sweep CSV as an SVG scatter")
@@ -82,8 +94,7 @@ def _cmd_sweep(args) -> int:
                           "(cva_values_deg, t_grm_values, t_loom_values)")
     grid = cfg.grid
     if args.trials is not None:
-        from dataclasses import replace
-        grid = replace(grid, trials_per_cell=args.trials).validate()
+        grid = replace(grid, trials_per_cell=args.trials)
     workers = args.workers if args.workers is not None else cfg.workers
     table = sweep_mod.run_sweep(grid, cfg.params, workers=workers)
     sweep_mod.emit_csv(table, args.out)

@@ -1,6 +1,6 @@
 """Flat ``key = value`` configuration files.
 
-Keys mirror the simulation parameter table (``dt``, ``R``, ``N``, ``l``,
+Keys mirror the simulation parameter table (``dt``, ``R``, ``N``,
 ``d_eye``, ``v_min``, ``v_max``, ``P01``, ``T_loom``, ``T_grm``, ``CVA_deg``,
 ``theta_i_deg``, ``delta_sigma_deg``, ``lambda_sigma``) plus harness keys.
 Angles are degrees in files and nowhere else.  Lines starting with ``#`` and
@@ -10,7 +10,7 @@ blank lines are ignored; ``#`` also starts an inline comment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -33,7 +33,6 @@ _PARAM_KEYS = {
     "dt": ("dt", float),
     "R": ("arena", float),
     "N": ("n_agents", int),
-    "l": ("body_length", float),
     "d_eye": ("d_eye", float),
     "v_min": ("v_min", float),
     "v_max": ("v_max", float),
@@ -44,7 +43,6 @@ _PARAM_KEYS = {
     "theta_i_deg": ("ipsi_field", "deg"),
     "delta_sigma_deg": ("sigma_jump", "deg"),
     "lambda_sigma": ("sigma_decay", float),
-    "n_points": ("n_body_points", int),
     "horizon_steps": ("horizon_steps", int),
     "collision_distance": ("collision_distance", float),
     "extrapolation_horizon": ("predict_horizon", float),
@@ -95,6 +93,8 @@ def parse_config_text(text: str, origin: str = "<config>") -> HarnessConfig:
             grid_kwargs[key] = _parse_scalar(key, raw, int)
         elif key == "workers":
             workers = _parse_scalar(key, raw, int)
+            if workers < 1:
+                raise ConfigError(f"{origin}:{lineno}: workers must be at least 1")
         else:
             raise ConfigError(f"{origin}:{lineno}: unknown key {key!r}")
 
@@ -131,9 +131,3 @@ def parse_config(path) -> HarnessConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text, origin=str(path))
-
-
-def cell_params(params: SimParams, cva_deg: float, t_grm: float,
-                t_loom: float) -> SimParams:
-    """Base parameters with one sweep cell's triple substituted in."""
-    return replace(params, cva=math.radians(cva_deg), t_grm=t_grm, t_loom=t_loom)

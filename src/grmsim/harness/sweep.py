@@ -52,6 +52,13 @@ class SweepGrid:
     def validate(self) -> "SweepGrid":
         if not (self.cva_values_deg and self.t_grm_values and self.t_loom_values):
             raise ValueError("sweep value lists must be non-empty")
+        values = self.cva_values_deg + self.t_grm_values + self.t_loom_values
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("sweep values must be finite")
+        if not all(0.0 <= v <= 90.0 for v in self.cva_values_deg):
+            raise ValueError("cva_values_deg must lie in [0, 90]")
+        if min(self.t_grm_values + self.t_loom_values) < 0.0:
+            raise ValueError("threshold values must be non-negative")
         if self.trials_per_cell < 1:
             raise ValueError("need at least one trial per cell")
         return self
@@ -144,7 +151,9 @@ def run_sweep(grid: SweepGrid, params: SimParams,
 
     if workers is None:
         workers = os.cpu_count() or 1
-    workers = max(1, min(workers, len(tasks)))
+    if workers < 1:
+        raise ValueError("need at least one worker")
+    workers = min(workers, len(tasks))
     if workers == 1:
         rows = [_run_one(t) for t in tasks]
     else:

@@ -10,10 +10,8 @@ resulting percepts:
 * looming: the smaller of the strongest outward motions in the two body
   hemifields, so only bilaterally expanding stimuli register.
 
-Both signals come with the set of agents that caused them.  The module has
-two equivalent code paths: an object-level one (``project_points`` plus the
-two detectors) and a vectorized one (``world_summaries``) used by the
-engine's inner loop; their agreement is covered by tests.
+Both signals come with the set of agents that caused them.  The whole world
+is processed at once as arrays indexed by agent row.
 """
 
 from __future__ import annotations
@@ -23,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import AgentState, SimParams
+from .dynamics import SimParams
+from .geometry import wrap_angle
 
 # Body outline in the body frame (+y is the heading), mm.  Length 2, max
 # width 0.9, left/right symmetric, with two midline points on the spine.
@@ -42,84 +41,36 @@ BODY_OUTLINE = np.array([
 # each side of the midline.
 EYE_FORWARD = 0.7
 
-EYE_SIDES = ("left", "right")
-
 # Relative tolerance for attributing a percept maximum to several agents.
 CAUSE_REL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class EyeConfig:
-    """One eye: body-frame offset and azimuthal field [field_lo, field_hi]."""
-
-    side: str
-    offset: tuple[float, float]
-    field_lo: float
-    field_hi: float
-
-
-@dataclass(frozen=True)
-class PointPercept:
-    """One body point of one agent as seen by one eye of the observer.
-
-    ``phi`` and ``phi_dot`` are measured about the eye center; ``phi_body``
-    is the azimuth of the same point about the observer's body center and
-    decides hemifield membership for looming.
-    """
-
-    source_agent: int
-    point_index: int
-    eye: str
-    phi: float
-    phi_dot: float
-    phi_body: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerceptSummary:
-    """Per-observer, per-step reduction of all percepts."""
+    """Per-step reduction of all percepts; row i belongs to observer i.
 
-    max_grm: float
-    grm_causes: frozenset[int]
-    omega_loom: float
-    loom_causes: frozenset[int]
-
-
-EMPTY_SUMMARY = PerceptSummary(0.0, frozenset(), 0.0, frozenset())
-
-
-def eye_fields(cva: float, theta_i: float, d_eye: float = 0.55) -> tuple[EyeConfig, EyeConfig]:
-    """Left and right eye configurations.
-
-    The right eye covers azimuths [-theta_i, +cva], the left eye
-    [-cva, +theta_i]: each field spans the ipsilateral side and crosses the
-    midline by the contralateral visual angle.
+    ``grm_causes[i, j]`` is true when source j produced observer i's
+    strongest GRM, ``loom_causes[i, j]`` when it produced either side's
+    strongest outward motion.  A zero signal has no causes.
     """
-    if not 0.0 <= cva <= math.pi / 2:
-        raise ValueError("cva must be in [0, pi/2]")
-    if not 0.0 < theta_i <= math.pi:
-        raise ValueError("theta_i must be in (0, pi]")
-    left = EyeConfig("left", (-d_eye / 2.0, EYE_FORWARD), -cva, theta_i)
-    right = EyeConfig("right", (d_eye / 2.0, EYE_FORWARD), -theta_i, cva)
-    return left, right
+
+    max_grm: np.ndarray      # (n,)
+    grm_causes: np.ndarray   # (n, n) bool
+    omega_loom: np.ndarray   # (n,)
+    loom_causes: np.ndarray  # (n, n) bool
 
 
-def _snapshot(agents: list[AgentState]):
-    pos = np.array([a.pos for a in agents])
-    heading = np.array([a.heading for a in agents])
-    vel = np.array([a.velocity() for a in agents])
-    return pos, heading, vel
-
-
-def _wrap(angles: np.ndarray) -> np.ndarray:
-    return (angles + math.pi) % (2.0 * math.pi) - math.pi
+def eye_offsets(d_eye: float) -> np.ndarray:
+    """Body-frame eye positions, rows (left, right)."""
+    return np.array([(-d_eye / 2.0, EYE_FORWARD), (d_eye / 2.0, EYE_FORWARD)])
 
 
 def _percept_fields(pos, heading, vel, params: SimParams):
     """All pairwise retinal quantities for one frozen world snapshot.
 
     Returns arrays indexed (observer, eye, source, point) plus the
-    body-centered azimuth indexed (observer, source, point).
+    body-centered azimuth indexed (observer, source, point).  Points that
+    coincide with an eye center, and an observer's own body, are not valid.
     """
     n = pos.shape[0]
     side = params.arena
@@ -140,7 +91,7 @@ def _percept_fields(pos, heading, vel, params: SimParams):
     dy = (py[None, None, :, :] - ey[:, :, None, None] + halfside) % side - halfside
     d2 = dx * dx + dy * dy
 
-    phi = _wrap(np.arctan2(dy, dx) - heading[:, None, None, None])
+    phi = wrap_angle(np.arctan2(dy, dx) - heading[:, None, None, None])
 
     rvx = vel[None, :, 0] - vel[:, None, 0]                          # (n, n)
     rvy = vel[None, :, 1] - vel[:, None, 1]
@@ -152,7 +103,7 @@ def _percept_fields(pos, heading, vel, params: SimParams):
 
     bdx = (px[None, :, :] - pos[:, 0, None, None] + halfside) % side - halfside
     bdy = (py[None, :, :] - pos[:, 1, None, None] + halfside) % side - halfside
-    phi_body = _wrap(np.arctan2(bdy, bdx) - heading[:, None, None])  # (n, n, 14)
+    phi_body = wrap_angle(np.arctan2(bdy, bdx) - heading[:, None, None])  # (n, n, 14)
 
     lo = np.array([-params.cva, -params.ipsi_field])                 # left, right
     hi = np.array([params.ipsi_field, params.cva])
@@ -160,28 +111,26 @@ def _percept_fields(pos, heading, vel, params: SimParams):
 
     not_self = ~np.eye(n, dtype=bool)
     valid = in_field & (d2 > 0.0) & not_self[:, None, :, None]
-    coincident = (d2 == 0.0) & not_self[:, None, :, None]
-    return phi, phi_dot, phi_body, valid, coincident
+    return phi, phi_dot, phi_body, valid
 
 
-def eye_offsets(d_eye: float) -> np.ndarray:
-    """Body-frame eye positions, rows (left, right)."""
-    return np.array([(-d_eye / 2.0, EYE_FORWARD), (d_eye / 2.0, EYE_FORWARD)])
+def _causes(by_source: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """Sources within the relative tolerance of each row's positive maximum."""
+    return (by_source >= (best * (1.0 - CAUSE_REL_TOL))[:, None]) & (best > 0.0)[:, None]
 
 
-def _cause_set(per_source: list[float], best: float, idents) -> frozenset[int]:
-    threshold = best * (1.0 - CAUSE_REL_TOL)
-    return frozenset(idents[k] for k, v in enumerate(per_source) if v >= threshold)
+def world_summaries(pos: np.ndarray, heading: np.ndarray, vel: np.ndarray,
+                    params: SimParams) -> PerceptSummary:
+    """Percept summary for every agent against one frozen snapshot.
 
-
-def world_summaries(agents: list[AgentState], params: SimParams) -> list[PerceptSummary]:
-    """Percept summary for every agent against one frozen snapshot."""
-    n = len(agents)
+    ``pos`` and ``vel`` are (n, 2), ``heading`` is (n,); row i is agent i.
+    """
+    n = len(pos)
     if n < 2:
-        return [EMPTY_SUMMARY] * n
-    pos, heading, vel = _snapshot(agents)
-    phi, phi_dot, phi_body, valid, _ = _percept_fields(pos, heading, vel, params)
-    idents = [a.ident for a in agents]
+        zeros = np.zeros(n)
+        none = np.zeros((n, n), dtype=bool)
+        return PerceptSummary(zeros, none, zeros, none)
+    phi, phi_dot, phi_body, valid = _percept_fields(pos, heading, vel, params)
 
     # left eye (index 0) reads clockwise, right eye (index 1) counter-clockwise
     contra = np.empty_like(valid)
@@ -197,105 +146,11 @@ def world_summaries(agents: list[AgentState], params: SimParams) -> list[Percept
     ccw_by_source = ccw.max(axis=(1, 3))
     cw_by_source = cw.max(axis=(1, 3))
 
-    best_grm = grm_by_source.max(axis=1).tolist()
-    best_ccw = ccw_by_source.max(axis=1).tolist()
-    best_cw = cw_by_source.max(axis=1).tolist()
-    grm_rows = grm_by_source.tolist()
-    ccw_rows = ccw_by_source.tolist()
-    cw_rows = cw_by_source.tolist()
-
-    summaries = []
-    for i in range(n):
-        grm_causes = _cause_set(grm_rows[i], best_grm[i], idents) \
-            if best_grm[i] > 0.0 else frozenset()
-        if best_ccw[i] > 0.0 and best_cw[i] > 0.0:
-            omega = min(best_ccw[i], best_cw[i])
-            loom_causes = _cause_set(ccw_rows[i], best_ccw[i], idents) | \
-                _cause_set(cw_rows[i], best_cw[i], idents)
-        else:
-            omega, loom_causes = 0.0, frozenset()
-        summaries.append(PerceptSummary(best_grm[i], grm_causes, omega, loom_causes))
-    return summaries
-
-
-def project_points(observer: AgentState, others: list[AgentState],
-                   params: SimParams, diagnostics: dict | None = None) -> list[PointPercept]:
-    """All in-field percepts of one observer, one per (agent, point, eye).
-
-    ``others`` must not contain the observer.  Points coinciding exactly
-    with an eye center are skipped; when a ``diagnostics`` dict is passed
-    their count is accumulated under ``"coincident_skipped"``.
-    """
-    agents = [observer, *others]
-    if any(o.ident == observer.ident for o in others):
-        raise ValueError("observer must not appear among the other agents")
-    pos, heading, vel = _snapshot(agents)
-    phi, phi_dot, phi_body, valid, coincident = _percept_fields(pos, heading, vel, params)
-    if diagnostics is not None:
-        diagnostics["coincident_skipped"] = (
-            diagnostics.get("coincident_skipped", 0) + int(coincident[0].sum()))
-    percepts = []
-    for e, side_name in enumerate(EYE_SIDES):
-        for k in range(1, len(agents)):
-            for j in range(BODY_OUTLINE.shape[0]):
-                if valid[0, e, k, j]:
-                    percepts.append(PointPercept(
-                        source_agent=agents[k].ident,
-                        point_index=j,
-                        eye=side_name,
-                        phi=float(phi[0, e, k, j]),
-                        phi_dot=float(phi_dot[0, e, k, j]),
-                        phi_body=float(phi_body[0, k, j]),
-                    ))
-    return percepts
-
-
-def detect_grm(percepts: list[PointPercept]) -> tuple[float, frozenset[int]]:
-    """Largest contralateral motion magnitude and the agents causing it."""
-    per_source: dict[int, float] = {}
-    for p in percepts:
-        contra = p.phi_dot > 0.0 if p.eye == "right" else p.phi_dot < 0.0
-        if not contra:
-            continue
-        mag = abs(p.phi_dot)
-        if mag > per_source.get(p.source_agent, 0.0):
-            per_source[p.source_agent] = mag
-    if not per_source:
-        return 0.0, frozenset()
-    best = max(per_source.values())
-    threshold = best * (1.0 - CAUSE_REL_TOL)
-    return best, frozenset(a for a, m in per_source.items() if m >= threshold)
-
-
-def looming_strength(percepts: list[PointPercept]) -> tuple[float, frozenset[int]]:
-    """Bilateral expansion strength: min of the strongest outward motions.
-
-    Outward means counter-clockwise in the left body hemifield or clockwise
-    in the right one (membership by the body-center azimuth sign; a point at
-    exactly 0 belongs to neither).  Returns 0 with no causes unless both
-    sides contribute.
-    """
-    ccw: dict[int, float] = {}
-    cw: dict[int, float] = {}
-    for p in percepts:
-        if p.phi_body > 0.0 and p.phi_dot > 0.0:
-            if p.phi_dot > ccw.get(p.source_agent, 0.0):
-                ccw[p.source_agent] = p.phi_dot
-        elif p.phi_body < 0.0 and p.phi_dot < 0.0:
-            if -p.phi_dot > cw.get(p.source_agent, 0.0):
-                cw[p.source_agent] = -p.phi_dot
-    if not ccw or not cw:
-        return 0.0, frozenset()
-    best_ccw = max(ccw.values())
-    best_cw = max(cw.values())
-    causes = frozenset(
-        a for a, m in ccw.items() if m >= best_ccw * (1.0 - CAUSE_REL_TOL)) | frozenset(
-        a for a, m in cw.items() if m >= best_cw * (1.0 - CAUSE_REL_TOL))
-    return min(best_ccw, best_cw), causes
-
-
-def summarize(percepts: list[PointPercept]) -> PerceptSummary:
-    """Object-path equivalent of one ``world_summaries`` entry."""
-    max_grm, grm_causes = detect_grm(percepts)
-    omega, loom_causes = looming_strength(percepts)
-    return PerceptSummary(max_grm, grm_causes, omega, loom_causes)
+    best_grm = grm_by_source.max(axis=1)
+    best_ccw = ccw_by_source.max(axis=1)
+    best_cw = cw_by_source.max(axis=1)
+    bilateral = (best_ccw > 0.0) & (best_cw > 0.0)
+    omega = np.where(bilateral, np.minimum(best_ccw, best_cw), 0.0)
+    loom_causes = (_causes(ccw_by_source, best_ccw) | _causes(cw_by_source, best_cw)) \
+        & bilateral[:, None]
+    return PerceptSummary(best_grm, _causes(grm_by_source, best_grm), omega, loom_causes)

@@ -1,16 +1,17 @@
 """Deterministic two-agent and wall scenarios shared by engine and acceptance tests.
 
-Each builder returns (agents, params).  All scenarios disable spontaneous
-restarts so the first stop ends the interesting part of the episode, and
-set the looming threshold to the 32 rad/s sentinel so only the GRM channel
-acts unless stated otherwise.
+Each builder returns (world, params); row i of the world is agent i.  All
+scenarios disable spontaneous restarts so the first stop ends the
+interesting part of the episode, and set the looming threshold to the
+32 rad/s sentinel so only the GRM channel acts unless stated otherwise.
 """
 
 import math
 
 import numpy as np
 
-from grmsim.dynamics import AgentState, SimParams
+from grmsim import engine
+from grmsim.dynamics import SimParams
 
 
 def fixture_params(t_grm, cva_deg=30.0, t_loom=32.0):
@@ -18,10 +19,16 @@ def fixture_params(t_grm, cva_deg=30.0, t_loom=32.0):
                      p_restart=0.0, horizon_steps=0)
 
 
-def agent(ident, x, y, heading, speed, moving=1):
-    return AgentState(ident=ident, pos=np.array([x, y], dtype=float),
-                      heading=heading, speed=speed, moving=moving,
-                      moving_prev=moving)
+def agent(x, y, heading, speed, moving=True):
+    """One world row: position, heading, speed and walk flag."""
+    return x, y, heading, speed, moving
+
+
+def world_of(rows, params):
+    """A step-0 world from ``agent`` rows, in row order."""
+    x, y, heading, speed, moving = zip(*rows)
+    return engine.make_world(np.column_stack((x, y)), heading, speed, params,
+                             moving=moving)
 
 
 def overtake_scenario():
@@ -30,9 +37,10 @@ def overtake_scenario():
     The slow front agent sees strong contralateral motion as the overtaker
     draws level and stops although their paths never meet: a false alarm.
     """
-    slow = agent(0, 25.0, 25.0, math.pi / 2, 10.0)
-    fast = agent(1, 27.0, 19.0, math.pi / 2, 30.0)
-    return [slow, fast], fixture_params(t_grm=6.0)
+    slow = agent(25.0, 25.0, math.pi / 2, 10.0)
+    fast = agent(27.0, 19.0, math.pi / 2, 30.0)
+    params = fixture_params(t_grm=6.0)
+    return world_of([slow, fast], params), params
 
 
 def early_crosser_scenario():
@@ -41,9 +49,10 @@ def early_crosser_scenario():
     The observer trails the crossing by 8mm of arrival gap; extrapolation
     never brings the pair close, so its stop is a false alarm.
     """
-    observer = agent(0, 25.0, 13.0, math.pi / 2, 10.0)
-    crosser = agent(1, 33.0, 25.0, math.pi, 20.0)
-    return [observer, crosser], fixture_params(t_grm=2.5)
+    observer = agent(25.0, 13.0, math.pi / 2, 10.0)
+    crosser = agent(33.0, 25.0, math.pi, 20.0)
+    params = fixture_params(t_grm=2.5)
+    return world_of([observer, crosser], params), params
 
 
 def pull_away_scenario():
@@ -53,25 +62,27 @@ def pull_away_scenario():
     contralateral band, triggering a stop although the fast agent clears
     the crossing with room to spare: a false alarm.
     """
-    dark = agent(0, 25.0, 20.0, math.pi / 2, 30.0)
-    bright = agent(1, 27.0, 23.8, math.radians(105), 10.0)
-    return [dark, bright], fixture_params(t_grm=1.4)
+    dark = agent(25.0, 20.0, math.pi / 2, 30.0)
+    bright = agent(27.0, 23.8, math.radians(105), 10.0)
+    params = fixture_params(t_grm=1.4)
+    return world_of([dark, bright], params), params
 
 
 def collision_course_scenario():
     """Perpendicular crossing with a tight 1mm arrival gap: a warranted stop."""
-    observer = agent(0, 25.0, 22.0, math.pi / 2, 10.0)
-    crosser = agent(1, 29.0, 25.0, math.pi, 20.0)
-    return [observer, crosser], fixture_params(t_grm=4.0)
+    observer = agent(25.0, 22.0, math.pi / 2, 10.0)
+    crosser = agent(29.0, 25.0, math.pi, 20.0)
+    params = fixture_params(t_grm=4.0)
+    return world_of([observer, crosser], params), params
 
 
 def wall_scenario(seed):
-    """One mover aimed into a line of stopped agents spanning the arena."""
+    """One mover, the last row, aimed into a line of stopped agents spanning the arena."""
     rng = np.random.default_rng(seed)
     params = fixture_params(t_grm=2.0, cva_deg=30.0)
-    wall = [agent(i, 1.0 + 2.0 * i, 40.0, math.pi / 2, 10.0, moving=0)
+    wall = [agent(1.0 + 2.0 * i, 40.0, math.pi / 2, 10.0, moving=False)
             for i in range(24)]
     angle_from_normal = rng.uniform(-0.7, 0.7)
-    mover = agent(99, rng.uniform(15.0, 35.0), 18.0,
+    mover = agent(rng.uniform(15.0, 35.0), 18.0,
                   math.pi / 2 - angle_from_normal, rng.uniform(10.0, 30.0))
-    return wall + [mover], params
+    return world_of(wall + [mover], params), params

@@ -32,9 +32,8 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
     record_criterion(line)
 
 
-def _run_fixture(agents, params, steps):
-    world = engine.make_world(agents, params)
-    streams = dynamics.trial_streams(0, len(agents))[1]
+def _run_fixture(world, params, steps):
+    streams = dynamics.trial_streams(0, len(world.pos))[1]
     stops, collisions = [], []
     for _ in range(steps):
         world, ev = engine.step(world, streams)
@@ -161,18 +160,16 @@ def test_criterion_04_wall_guarantee():
     sim_failures = 0
     worst_clearance = math.inf
     for seed in range(50):
-        agents, params = wall_scenario(seed)
-        world = engine.make_world(agents, params)
-        streams = dynamics.trial_streams(seed, len(agents))[1]
+        world, params = wall_scenario(seed)
+        streams = dynamics.trial_streams(seed, len(world.pos))[1]
         stopped, min_clearance = False, math.inf
         for _ in range(4000):
             world, _ = engine.step(world, streams)
-            mover = next(a for a in world.agents if a.ident == 99)
-            clearance = min(
-                float(np.hypot(*geo.min_image_delta(mover.pos, a.pos, params.arena)))
-                for a in world.agents if a.ident != 99)
+            # the mover is the last row
+            delta = geo.min_image_delta(world.pos[-1], world.pos[:-1], params.arena)
+            clearance = float(np.hypot(delta[:, 0], delta[:, 1]).min())
             min_clearance = min(min_clearance, clearance)
-            if not mover.moving:
+            if not world.moving[-1]:
                 stopped = True
                 break
         worst_clearance = min(worst_clearance, min_clearance)
@@ -221,11 +218,11 @@ def test_criterion_07_false_alarm_fixtures():
     for name, builder in (("overtake", overtake_scenario),
                           ("early-crosser", early_crosser_scenario),
                           ("pull-away", pull_away_scenario)):
-        agents, params = builder()
-        _, stops, labels, _ = _run_fixture(agents, params, 700)
+        world, params = builder()
+        _, stops, labels, _ = _run_fixture(world, params, 700)
         outcomes[name] = labels
-    tp_agents, tp_params = collision_course_scenario()
-    _, tp_stops, tp_labels, _ = _run_fixture(tp_agents, tp_params, 400)
+    tp_world, tp_params = collision_course_scenario()
+    _, tp_stops, tp_labels, _ = _run_fixture(tp_world, tp_params, 400)
     outcomes["collision-course"] = tp_labels
     ok = (all(outcomes[k] == ["FP"] for k in
               ("overtake", "early-crosser", "pull-away"))

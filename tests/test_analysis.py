@@ -6,6 +6,7 @@ import pytest
 from grmsim import analysis
 from grmsim.analysis import EncounterCounts, Metrics
 from grmsim.engine import CollisionRecord, EncounterRecord, StopRecord
+from grmsim.harness.sweep import SweepRow, aggregate_rows
 
 
 def brute_force_predict(p_rel, v_rel, d_coll, horizon, step=1e-4):
@@ -16,11 +17,12 @@ def brute_force_predict(p_rel, v_rel, d_coll, horizon, step=1e-4):
 
 
 def stop_record(agent=0, causes=(1,), positions=None, velocities=None, t=10):
-    positions = positions or {0: (25.0, 25.0), 1: (30.0, 25.0)}
-    velocities = velocities or {0: (0.0, 10.0), 1: (-20.0, 0.0)}
+    """A stop whose snapshot rows are given as lists, row = agent."""
+    positions = positions or [(25.0, 25.0), (30.0, 25.0)]
+    velocities = velocities or [(0.0, 10.0), (-20.0, 0.0)]
     return StopRecord(t=t, agent=agent, cause_agents=frozenset(causes),
-                      channel="GRM", frozen_velocities=velocities,
-                      frozen_positions=positions)
+                      channel="GRM", frozen_velocities=np.array(velocities, dtype=float),
+                      frozen_positions=np.array(positions, dtype=float))
 
 
 # ---------------------------------------------------------- predict_collision
@@ -76,41 +78,41 @@ def test_predict_matches_brute_force_scan():
 def test_classify_crossing_cause_is_tp():
     # cause closes from the right while the stopper walks up; closest
     # straight-line approach is 0.89mm < 1.2mm
-    stop = stop_record(positions={0: (25.0, 25.0), 1: (29.0, 26.0)},
-                       velocities={0: (0.0, 10.0), 1: (-20.0, 0.0)})
+    stop = stop_record(positions=[(25.0, 25.0), (29.0, 26.0)],
+                       velocities=[(0.0, 10.0), (-20.0, 0.0)])
     assert analysis.classify_stop(stop, arena=50.0, d_coll=1.2, horizon=2.0) == "TP"
 
 
 def test_classify_departing_cause_is_fp():
-    stop = stop_record(positions={0: (25.0, 25.0), 1: (29.0, 25.0)},
-                       velocities={0: (0.0, 10.0), 1: (20.0, 0.0)})
+    stop = stop_record(positions=[(25.0, 25.0), (29.0, 25.0)],
+                       velocities=[(0.0, 10.0), (20.0, 0.0)])
     assert analysis.classify_stop(stop, arena=50.0, d_coll=1.2, horizon=2.0) == "FP"
 
 
 def test_classify_any_cause_on_course_suffices():
     stop = stop_record(causes=(1, 2),
-                       positions={0: (25.0, 25.0), 1: (29.0, 10.0), 2: (25.0, 30.0)},
-                       velocities={0: (0.0, 10.0), 1: (20.0, 0.0), 2: (0.0, -10.0)})
+                       positions=[(25.0, 25.0), (29.0, 10.0), (25.0, 30.0)],
+                       velocities=[(0.0, 10.0), (20.0, 0.0), (0.0, -10.0)])
     assert analysis.classify_stop(stop, arena=50.0, d_coll=1.2, horizon=2.0) == "TP"
 
 
 def test_classify_stopped_cause_has_zero_velocity():
     # a stopped cause dead ahead of a walking agent is a genuine hazard
-    stop = stop_record(positions={0: (25.0, 25.0), 1: (25.0, 30.0)},
-                       velocities={0: (0.0, 10.0), 1: (0.0, 0.0)})
+    stop = stop_record(positions=[(25.0, 25.0), (25.0, 30.0)],
+                       velocities=[(0.0, 10.0), (0.0, 0.0)])
     assert analysis.classify_stop(stop, arena=50.0, d_coll=1.2, horizon=2.0) == "TP"
 
 
 def test_classification_uses_min_image_displacement():
     # cause just across the arena seam, closing
-    stop = stop_record(positions={0: (1.0, 25.0), 1: (48.0, 25.0)},
-                       velocities={0: (-10.0, 0.0), 1: (10.0, 0.0)})
+    stop = stop_record(positions=[(1.0, 25.0), (48.0, 25.0)],
+                       velocities=[(-10.0, 0.0), (10.0, 0.0)])
     assert analysis.classify_stop(stop, arena=50.0, d_coll=1.2, horizon=2.0) == "TP"
 
 
 def test_stop_with_cause_inside_collision_radius_excluded():
-    stop = stop_record(positions={0: (25.0, 25.0), 1: (25.8, 25.0)},
-                       velocities={0: (0.0, 10.0), 1: (-20.0, 0.0)})
+    stop = stop_record(positions=[(25.0, 25.0), (25.8, 25.0)],
+                       velocities=[(0.0, 10.0), (-20.0, 0.0)])
     assert analysis.stop_excluded(stop, arena=50.0, d_coll=1.2)
     labels = analysis.label_stops([stop], arena=50.0, d_coll=1.2, horizon=2.0)
     assert labels == ["excluded"]
@@ -120,18 +122,16 @@ def test_stop_with_cause_inside_collision_radius_excluded():
 
 def test_classification_invariant_under_rotation_translation():
     rng = np.random.default_rng(67)
-    base = stop_record(positions={0: (25.0, 25.0), 1: (29.0, 26.0)},
-                       velocities={0: (0.0, 10.0), 1: (-18.0, -2.0)})
+    base = stop_record(positions=[(25.0, 25.0), (29.0, 26.0)],
+                       velocities=[(0.0, 10.0), (-18.0, -2.0)])
     reference = analysis.classify_stop(base, arena=1e9, d_coll=1.2, horizon=2.0)
     for _ in range(50):
         theta = rng.uniform(0, 2 * math.pi)
         shift = rng.uniform(-30, 30, size=2)
         rot = np.array([[math.cos(theta), -math.sin(theta)],
                         [math.sin(theta), math.cos(theta)]])
-        pos = {k: tuple(rot @ np.array(v) + shift)
-               for k, v in base.frozen_positions.items()}
-        vel = {k: tuple(rot @ np.array(v))
-               for k, v in base.frozen_velocities.items()}
+        pos = base.frozen_positions @ rot.T + shift
+        vel = base.frozen_velocities @ rot.T
         moved = StopRecord(t=10, agent=0, cause_agents=frozenset({1}),
                            channel="GRM", frozen_velocities=vel,
                            frozen_positions=pos)
@@ -143,10 +143,10 @@ def test_classification_invariant_under_rotation_translation():
 # --------------------------------------------------------------- count_events
 
 def test_count_events_tallies():
-    tp_stop = stop_record(positions={0: (25.0, 25.0), 1: (29.0, 26.0)},
-                          velocities={0: (0.0, 10.0), 1: (-20.0, 0.0)})
-    fp_stop = stop_record(positions={0: (25.0, 25.0), 1: (29.0, 25.0)},
-                          velocities={0: (0.0, 10.0), 1: (20.0, 0.0)})
+    tp_stop = stop_record(positions=[(25.0, 25.0), (29.0, 26.0)],
+                          velocities=[(0.0, 10.0), (-20.0, 0.0)])
+    fp_stop = stop_record(positions=[(25.0, 25.0), (29.0, 25.0)],
+                          velocities=[(0.0, 10.0), (20.0, 0.0)])
     stops = [tp_stop, tp_stop, tp_stop, fp_stop]
     collisions = [CollisionRecord(t=50, pair=(2, 3))]
     counts = analysis.count_events(stops, collisions, arena=50.0, d_coll=1.2,
@@ -173,8 +173,8 @@ def test_count_events_true_negatives():
     blamed = EncounterRecord(pair=(0, 2), t_enter=10, t_exit=90)
     crashed = EncounterRecord(pair=(1, 2), t_enter=10, t_exit=90)
     stop = stop_record(agent=0, causes=(2,),
-                       positions={0: (25.0, 25.0), 2: (29.0, 25.0)},
-                       velocities={0: (0.0, 10.0), 2: (20.0, 0.0)}, t=50)
+                       positions=[(25.0, 25.0), (10.0, 10.0), (29.0, 25.0)],
+                       velocities=[(0.0, 10.0), (0.0, 0.0), (20.0, 0.0)], t=50)
     collisions = [CollisionRecord(t=60, pair=(1, 2))]
     counts = analysis.count_events([stop], collisions,
                                    [calm, blamed, crashed],
@@ -231,39 +231,41 @@ def test_mobility_decreases_as_false_alarms_injected():
 
 # ----------------------------------------------------------------- aggregate
 
-def _trial(mobility, safety):
-    counts = EncounterCounts()
-    return analysis.TrialResult(params=None, seed=0, counts=counts,
-                                metrics=Metrics(mobility, safety), stops=[],
-                                stop_labels=[], collisions=[], encounters=[])
+def _rows(*metrics, cell=(30.0, 4.0, 32.0)):
+    """One sweep cell's rows with the given (mobility, safety) per trial."""
+    return [SweepRow(*cell, trial, 0, 0, 0, 0, 0, mobility, safety)
+            for trial, (mobility, safety) in enumerate(metrics)]
 
 
 def test_aggregate_identical_trials():
-    stats = analysis.aggregate_trials([_trial(0.5, 0.9)] * 50)
+    [stats] = aggregate_rows(_rows(*[(0.5, 0.9)] * 50))
     assert stats.mean_mobility == pytest.approx(0.5)
     assert stats.std_mobility == pytest.approx(0.0)
     assert stats.n_mobility == 50 and stats.n_trials == 50
 
 
 def test_aggregate_mean_of_two():
-    stats = analysis.aggregate_trials([_trial(0.4, 1.0), _trial(0.6, 0.8)])
+    [stats] = aggregate_rows(_rows((0.4, 1.0), (0.6, 0.8)))
     assert stats.mean_mobility == pytest.approx(0.5)
     assert stats.mean_safety == pytest.approx(0.9)
+    assert stats.std_mobility == pytest.approx(0.1)  # population std
 
 
 def test_aggregate_excludes_undefined():
-    trials = [_trial(0.4, 1.0)] * 49 + [_trial(None, 1.0)]
-    stats = analysis.aggregate_trials(trials)
+    [stats] = aggregate_rows(_rows(*[(0.4, 1.0)] * 49, (None, 1.0)))
     assert stats.n_mobility == 49 and stats.n_trials == 50
     assert stats.mean_mobility == pytest.approx(0.4)
     assert stats.n_safety == 50
 
 
 def test_aggregate_all_undefined():
-    stats = analysis.aggregate_trials([_trial(None, None)] * 3)
-    assert stats.mean_mobility is None and stats.n_mobility == 0
+    [stats] = aggregate_rows(_rows(*[(None, None)] * 3))
+    assert stats.mean_mobility is None and stats.std_mobility is None
+    assert stats.n_mobility == 0
 
 
-def test_aggregate_empty_rejected():
-    with pytest.raises(ValueError):
-        analysis.aggregate_trials([])
+def test_aggregate_cells_apart_and_sorted():
+    assert aggregate_rows([]) == []
+    rows = _rows((0.2, 1.0), cell=(90.0, 1.0, 4.0)) + _rows((0.6, 1.0))
+    assert [(a.cva_deg, a.mean_mobility) for a in aggregate_rows(rows)] == \
+        [(30.0, 0.6), (90.0, 0.2)]

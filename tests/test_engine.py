@@ -1,20 +1,21 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from grmsim import analysis, dynamics, engine
+from grmsim import analysis, dynamics, engine, perception
 from grmsim.dynamics import SimParams
 from grmsim.geometry import min_image_delta, wrap_torus
 from scenario_fixtures import (agent, collision_course_scenario, fixture_params,
-                               overtake_scenario)
+                               overtake_scenario, world_of)
 
 NEVER = 1e9  # threshold no percept can reach
+QUIET = SimParams(t_grm=NEVER, t_loom=NEVER, p_restart=0.0, horizon_steps=0)
 
 
-def run_steps(agents, params, steps, seed=0):
-    world = engine.make_world(agents, params)
-    streams = dynamics.trial_streams(seed, len(agents))[1]
+def run_steps(world, steps, seed=0):
+    streams = dynamics.trial_streams(seed, len(world.pos))[1]
     stops, collisions, encounters = [], [], []
     for _ in range(steps):
         world, ev = engine.step(world, streams)
@@ -32,17 +33,21 @@ def test_single_agent_never_stops():
     assert result.stops == [] and result.collisions == []
 
 
-def test_make_world_rejects_duplicate_idents():
-    params = SimParams()
-    a = agent(1, 10, 10, 0.0, 20.0)
-    b = agent(1, 20, 20, 0.0, 20.0)
-    with pytest.raises(ValueError):
-        engine.make_world([a, b], params)
+def test_step_leaves_previous_world_untouched():
+    # stop records alias the snapshot arrays, so a step must not write into them
+    world, _ = collision_course_scenario()
+    before = {name: getattr(world, name).copy()
+              for name in ("pos", "heading", "speed", "moving", "sigma",
+                           "contact", "t_enter")}
+    _, stops, _, _ = run_steps(world, 60)
+    assert stops
+    for name, value in before.items():
+        assert np.array_equal(getattr(world, name), value), name
 
 
 def test_stop_record_freezes_snapshot_velocities():
-    agents, params = collision_course_scenario()
-    world, stops, collisions, _ = run_steps(agents, params, 60)
+    world, _ = collision_course_scenario()
+    world, stops, collisions, _ = run_steps(world, 60)
     assert len(stops) == 1
     # the later-arriving agent stopped before the pair ever made contact
     assert collisions == []
@@ -60,17 +65,14 @@ def test_stop_record_freezes_snapshot_velocities():
 
 
 def test_stopping_agent_does_not_move_on_stop_step():
-    agents, params = collision_course_scenario()
-    world = engine.make_world(agents, params)
-    streams = dynamics.trial_streams(0, len(agents))[1]
-    prev_pos = None
+    world, _ = collision_course_scenario()
+    streams = dynamics.trial_streams(0, 2)[1]
     for _ in range(60):
-        prev = {a.ident: a.pos.copy() for a in world.agents}
+        prev = world
         world, ev = engine.step(world, streams)
         if ev.stops:
             stopped = ev.stops[0].agent
-            now = [a for a in world.agents if a.ident == stopped][0]
-            assert np.array_equal(now.pos, prev[stopped])
+            assert np.array_equal(world.pos[stopped], prev.pos[stopped])
             return
     pytest.fail("expected a stop")
 
@@ -78,40 +80,51 @@ def test_stopping_agent_does_not_move_on_stop_step():
 def test_synchronous_update_uses_snapshot_percepts():
     # moving both agents by hand one step and recomputing percepts gives the
     # same stop decision the engine made from the frozen snapshot
-    agents, params = collision_course_scenario()
-    from grmsim import perception
-    summaries = perception.world_summaries(agents, params)
-    world = engine.make_world(agents, params)
-    streams = dynamics.trial_streams(0, len(agents))[1]
+    world, params = collision_course_scenario()
+    vel = dynamics.velocity(world.heading, world.speed, world.moving)
+    summary = perception.world_summaries(world.pos, world.heading, vel, params)
+    streams = dynamics.trial_streams(0, 2)[1]
     _, ev = engine.step(world, streams)
-    should_stop = summaries[0].max_grm > params.t_grm
+    should_stop = summary.max_grm[0] > params.t_grm
     assert bool(ev.stops) == should_stop or not should_stop
 
 
 # --------------------------------------------------------------- collisions
 
 def test_detect_collisions_thresholds():
-    params = SimParams()
-    a = agent(0, 10.0, 10.0, 0.0, 20.0)
-    b = agent(1, 11.0, 10.0, 0.0, 20.0)   # 1.0mm apart
-    c = agent(2, 35.0, 10.0, 0.0, 20.0)   # 25mm away
-    assert engine.detect_collisions([a, b, c], params) == [(0, 1)]
+    # contact means a centre distance below the collision distance (1.2mm):
+    # 1.0mm apart is recorded, 1.3mm and 25mm are not
+    rows = [agent(10.0, 10.0, 0.0, 20.0, moving=False),
+            agent(11.0, 10.0, 0.0, 20.0, moving=False),
+            agent(35.0, 10.0, 0.0, 20.0, moving=False),
+            agent(36.3, 10.0, 0.0, 20.0, moving=False)]
+    _, events = engine.step(world_of(rows, QUIET), dynamics.trial_streams(0, 4)[1])
+    assert [(c.t, c.pair) for c in events.collisions] == [(1, (0, 1))]
 
 
 def test_collision_uses_min_image_distance():
-    params = SimParams()
-    a = agent(0, 0.4, 10.0, 0.0, 20.0)
-    b = agent(1, 49.8, 10.0, 0.0, 20.0)   # 0.6mm across the seam
-    assert engine.detect_collisions([a, b], params) == [(0, 1)]
+    rows = [agent(0.4, 10.0, 0.0, 20.0, moving=False),
+            agent(49.8, 10.0, 0.0, 20.0, moving=False)]   # 0.6mm across the seam
+    _, events = engine.step(world_of(rows, QUIET), dynamics.trial_streams(0, 2)[1])
+    assert [c.pair for c in events.collisions] == [(0, 1)]
+
+
+def test_collision_pairs_recorded_in_sorted_order():
+    # three overlapping pairs found in one step come out sorted by (i, j)
+    rows = [agent(40.0, 40.0, 0.0, 20.0, moving=False),
+            agent(10.0, 10.0, 0.0, 20.0, moving=False),
+            agent(40.5, 40.0, 0.0, 20.0, moving=False),
+            agent(10.5, 10.0, 0.0, 20.0, moving=False)]
+    _, events = engine.step(world_of(rows, QUIET), dynamics.trial_streams(0, 4)[1])
+    assert [c.pair for c in events.collisions] == [(0, 2), (1, 3)]
 
 
 def test_contact_episode_debounced_to_one_record():
     # head-on pass-through: contact persists several steps, one record only
-    params = SimParams(t_grm=NEVER, t_loom=NEVER, p_restart=0.0, horizon_steps=0)
-    a = agent(0, 20.0, 25.0, 0.0, 20.0)
-    b = agent(1, 30.0, 25.0, math.pi, 20.0)
+    world = world_of([agent(20.0, 25.0, 0.0, 20.0),
+                      agent(30.0, 25.0, math.pi, 20.0)], QUIET)
     # 150 steps: through the contact and well apart, but not around the torus
-    _, stops, collisions, _ = run_steps([a, b], params, 150)
+    _, stops, collisions, _ = run_steps(world, 150)
     assert stops == []
     assert len(collisions) == 1
     assert collisions[0].pair == (0, 1)
@@ -119,11 +132,11 @@ def test_contact_episode_debounced_to_one_record():
 
 def test_separate_contact_episodes_recorded_separately():
     # two agents crossing the seam repeatedly: same pair, several episodes
-    params = SimParams(t_grm=NEVER, t_loom=NEVER, p_restart=0.0,
-                       collision_distance=1.2, horizon_steps=0)
-    a = agent(0, 10.0, 25.0, 0.0, 30.0)      # laps the arena in ~1.67s
-    b = agent(1, 10.0, 25.5, math.pi, 10.0)  # heads the other way
-    _, _, collisions, _ = run_steps([a, b], params, 2000)
+    params = replace(QUIET, collision_distance=1.2)
+    world = world_of([agent(10.0, 25.0, 0.0, 30.0),       # laps the arena in ~1.67s
+                      agent(10.0, 25.5, math.pi, 10.0)],  # heads the other way
+                     params)
+    _, _, collisions, _ = run_steps(world, 2000)
     assert len(collisions) >= 2
     ts = [c.t for c in collisions]
     assert ts == sorted(ts) and len(set(ts)) == len(ts)
@@ -162,11 +175,11 @@ def test_every_stop_transition_yields_one_record():
 def test_speeds_constant_for_lifetime():
     params = SimParams(horizon_steps=300, t_grm=4.0)
     init_rng, _ = dynamics.trial_streams(21, params.n_agents)
-    initial = {a.ident: a.speed for a in dynamics.init_agents(params, init_rng)}
+    _, _, initial = dynamics.init_agents(params, init_rng)
     result = engine.run_trial(params, seed=21)
     # speeds echo through untouched in the stop records' frozen velocities
     for stop in result.stops:
-        for ident, vel in stop.frozen_velocities.items():
+        for ident, vel in enumerate(stop.frozen_velocities):
             speed = math.hypot(*vel)
             assert speed == pytest.approx(initial[ident]) or speed == 0.0
 
@@ -176,26 +189,22 @@ def test_sentinel_thresholds_give_straight_torus_lines():
     params = SimParams(n_agents=4, horizon_steps=10_000, t_grm=NEVER,
                        t_loom=NEVER, p_restart=1.0)
     init_rng, _ = dynamics.trial_streams(33, params.n_agents)
-    start = dynamics.init_agents(params, init_rng)
+    pos, heading, speed = dynamics.init_agents(params, init_rng)
     result = engine.run_trial(params, seed=33, log_trajectories=True)
     assert result.stops == []
     t_final = params.horizon_steps * params.dt
-    for i, a in enumerate(start):
-        expected = wrap_torus(
-            a.pos + t_final * a.speed * dynamics.heading_unit(a.heading),
-            params.arena)
-        err = min_image_delta(result.trajectory.pos[-1, i], expected, params.arena)
-        assert float(np.hypot(*err)) < 1e-9
+    unit = np.column_stack((np.cos(heading), np.sin(heading)))
+    expected = wrap_torus(pos + t_final * speed[:, None] * unit, params.arena)
+    err = min_image_delta(result.trajectory.pos[-1], expected, params.arena)
+    assert float(np.hypot(err[:, 0], err[:, 1]).max()) < 1e-9
 
 
 def test_halving_dt_shifts_stop_time_at_most_one_coarse_step():
-    agents, params = collision_course_scenario()
+    world, _ = collision_course_scenario()
     coarse = fixture_params(t_grm=4.0)
-    _, stops_c, _, _ = run_steps([agent(a.ident, *a.pos, a.heading, a.speed)
-                                  for a in agents], coarse, 200)
-    fine = SimParams(**{**coarse.__dict__, "dt": coarse.dt / 2})
-    _, stops_f, _, _ = run_steps([agent(a.ident, *a.pos, a.heading, a.speed)
-                                  for a in agents], fine, 400)
+    _, stops_c, _, _ = run_steps(replace(world, params=coarse), 200)
+    fine = replace(coarse, dt=coarse.dt / 2)
+    _, stops_f, _, _ = run_steps(replace(world, params=fine), 400)
     assert stops_c and stops_f
     t_coarse = stops_c[0].t * coarse.dt
     t_fine = stops_f[0].t * fine.dt
@@ -203,18 +212,17 @@ def test_halving_dt_shifts_stop_time_at_most_one_coarse_step():
 
 
 def test_overtake_scenario_records_expected_stop():
-    agents, params = overtake_scenario()
-    _, stops, collisions, _ = run_steps(agents, params, 400)
+    world, _ = overtake_scenario()
+    _, stops, collisions, _ = run_steps(world, 400)
     assert collisions == []
     assert len(stops) == 1
     assert stops[0].agent == 0 and stops[0].cause_agents == {1}
 
 
 def test_encounter_episode_opens_and_closes():
-    params = SimParams(t_grm=NEVER, t_loom=NEVER, p_restart=0.0, horizon_steps=0)
-    a = agent(0, 10.0, 10.0, 0.0, 30.0)
-    b = agent(1, 10.0, 14.0, math.pi, 30.0)  # passes, then separates
-    _, _, _, encounters = run_steps([a, b], params, 1200)
+    world = world_of([agent(10.0, 10.0, 0.0, 30.0),
+                      agent(10.0, 14.0, math.pi, 30.0)], QUIET)  # passes, then separates
+    _, _, _, encounters = run_steps(world, 1200)
     assert len(encounters) >= 1
     first = encounters[0]
     assert first.pair == (0, 1) and first.t_enter < first.t_exit

@@ -1,0 +1,28 @@
+"""Pinned sweep output: any change in simulated behaviour changes this hash.
+
+The grid covers stops, collisions and at least one undefined metric in 400
+steps per trial, so drift in perception, control, stepping, classification
+or CSV formatting all show up here.  A deliberate behaviour change updates
+the hash in the same commit and says why.
+"""
+
+import hashlib
+import pathlib
+from dataclasses import replace
+
+import pytest
+
+from grmsim.harness import SweepGrid, config, emit_csv, run_sweep
+
+GOLDEN_SHA256 = "0d79e59e38d5a05fffa2958583dbe5b10903f39e693c3b6e0057c275a70dc8be"
+DESK = pathlib.Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_golden_sweep_csv(tmp_path, workers):
+    params = replace(config.parse_config(DESK).params, horizon_steps=400)
+    grid = SweepGrid(cva_values_deg=(10.0, 90.0), t_grm_values=(1.0, 32.0),
+                     t_loom_values=(4.0,), trials_per_cell=2, base_seed=20260811)
+    path = emit_csv(run_sweep(grid, params, workers=workers), tmp_path / "golden.csv")
+    assert ",\n" in path.read_text(encoding="utf-8")  # an undefined safety is pinned too
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256

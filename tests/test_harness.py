@@ -25,7 +25,6 @@ FULL_CONFIG = """
 dt = 0.005
 R = 50
 N = 10
-l = 2
 d_eye = 0.55
 v_min = 10
 v_max = 30
@@ -79,6 +78,49 @@ def test_invalid_params_rejected():
         config.parse_config_text("v_min = 30\nv_max = 10\n")
 
 
+GRID_KEYS = "cva_values_deg = 30\nt_grm_values = 4\nt_loom_values = 32\n"
+BAD_CONFIGS = {
+    "nan threshold": "T_grm = nan\n",
+    "nan step": "dt = nan\n",
+    "infinite arena": "R = inf\n",
+    "negative infinite spread": "delta_sigma_deg = -inf\n",
+    "ignored body length": "l = 2\n",
+    "ignored point count": "n_points = 14\n",
+    "cva above 90": GRID_KEYS.replace("= 30", "= 30, 100"),
+    "negative cva": GRID_KEYS.replace("= 30", "= -10"),
+    "nan grm grid value": GRID_KEYS.replace("t_grm_values = 4", "t_grm_values = nan"),
+    "infinite loom grid value": GRID_KEYS.replace("= 32", "= inf"),
+    "negative threshold grid value": GRID_KEYS.replace("= 4", "= -1"),
+    "zero workers": "workers = 0\n",
+}
+
+
+@pytest.mark.parametrize("text", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+def test_dead_on_arrival_config_rejected(text):
+    with pytest.raises(ConfigError):
+        config.parse_config_text(text)
+
+
+@pytest.mark.parametrize("text", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+def test_cli_rejects_dead_on_arrival_config(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.cfg"
+    grid = "" if "cva_values_deg" in text else GRID_KEYS
+    cfg.write_text(text + grid, encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_rejects_bad_grid_and_workers():
+    with pytest.raises(ValueError, match="finite"):
+        run_sweep(replace(GRID_1, t_grm_values=(math.nan,)), TINY)
+    with pytest.raises(ValueError, match=r"\[0, 90\]"):
+        run_sweep(replace(GRID_1, cva_values_deg=(100.0,)), TINY)
+    with pytest.raises(ValueError, match="worker"):
+        run_sweep(GRID_1, TINY, workers=0)
+
+
 def test_incomplete_grid_rejected():
     with pytest.raises(ConfigError, match="incomplete sweep grid"):
         config.parse_config_text("cva_values_deg = 10, 30\n")
@@ -122,7 +164,7 @@ def test_single_cell_single_trial():
     row = table.rows[0]
     assert row.error is None
     # the row reproduces a directly-run trial with the same derived seed
-    params = config.cell_params(TINY, 30.0, 4.0, 32.0)
+    params = replace(TINY, cva=math.radians(30.0), t_grm=4.0, t_loom=32.0)
     direct = engine.run_trial(params, derive_seed(5, 0, 0))
     assert (row.tp, row.fp, row.tn, row.fn) == (
         direct.counts.tp, direct.counts.fp, direct.counts.tn, direct.counts.fn)
@@ -256,13 +298,13 @@ def test_frames_stop_and_collision_glyphs(tmp_path):
     pos = np.array([[[20.0, 20.0], [24.0, 20.0]]] * 4)
     heading = np.zeros((4, 2))
     moving = np.array([[1, 1], [0, 1], [0, 0], [0, 0]])
-    snapshot = {0: (20.0, 20.0), 1: (24.0, 20.0)}
+    snapshot = pos[0]
     stops = [
         StopRecord(t=0, agent=0, cause_agents=frozenset({1}), channel="GRM",
-                   frozen_velocities={0: (10.0, 0.0), 1: (-10.0, 0.0)},
+                   frozen_velocities=np.array([(10.0, 0.0), (-10.0, 0.0)]),
                    frozen_positions=snapshot),
         StopRecord(t=1, agent=1, cause_agents=frozenset({0}), channel="GRM",
-                   frozen_velocities={0: (0.0, 0.0), 1: (-10.0, 0.0)},
+                   frozen_velocities=np.array([(0.0, 0.0), (-10.0, 0.0)]),
                    frozen_positions=snapshot),
     ]
     result = TrialResult(
@@ -360,11 +402,38 @@ def test_cli_sweep_determinism_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_cli_config_error_exit_code(tmp_path, capsys):
+def exit_code(argv) -> int:
+    """``cli.main``'s exit status, also when argparse exits on its own."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_cli_config_error_exit_code(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense = 1\n", encoding="utf-8")
     assert cli.main(["simulate", "--config", str(cfg)]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+    # argument errors are caught before any trial, sweep or suite runs
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started despite a bad argument")
+    monkeypatch.setattr(cli.engine, "run_trial", no_work)
+    monkeypatch.setattr(cli.sweep_mod, "run_sweep", no_work)
+    monkeypatch.setattr(cli.verify_mod, "verify_theorems", no_work)
+    good = write_config(tmp_path)
+    for argv in (["sweep", "--config", str(good), "--out", "x.csv", "--trials", "0"],
+                 ["sweep", "--config", str(good), "--out", "x.csv", "--workers", "0"],
+                 ["sweep", "--config", str(good), "--out", "x.csv", "--trials", "two"],
+                 ["simulate", "--stride", "0", "--out", str(tmp_path / "frames")],
+                 ["simulate", "--seed", "-1"],
+                 ["verify", "--samples", "0"],
+                 ["verify", "--samples", "-3"],
+                 ["verify", "--seed", "-1"]):
+        assert exit_code(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert "error: argument" in err and "Traceback" not in err, argv
 
 
 def test_cli_sweep_without_grid_is_config_error(tmp_path, capsys):

@@ -5,53 +5,87 @@ import pytest
 
 from grmsim import geometry as geo
 from grmsim import perception as per
-from grmsim.dynamics import AgentState, SimParams
+from grmsim.dynamics import SimParams, velocity
+from percept_oracle import (PointPercept, detect_grm, kernel_row, looming_strength,
+                            project_points, summarize)
 
 
-def make_agent(ident, x, y, heading, speed=20.0, moving=1):
-    return AgentState(ident=ident, pos=np.array([x, y], dtype=float),
-                      heading=heading, speed=speed, moving=moving)
+def snapshot(*rows):
+    """(pos, heading, vel) arrays from (x, y, heading, speed, moving) rows."""
+    x, y, heading, speed, moving = (np.array(c) for c in zip(*rows))
+    heading = heading.astype(float)
+    return (np.column_stack((x, y)).astype(float), heading,
+            velocity(heading, speed.astype(float), moving.astype(bool)))
+
+
+def row(x, y, heading, speed=20.0, moving=True):
+    return x, y, heading, speed, moving
 
 
 def percept(source=1, eye="right", phi=0.0, phi_dot=0.0, phi_body=None, idx=0):
-    return per.PointPercept(source_agent=source, point_index=idx, eye=eye,
-                            phi=phi, phi_dot=phi_dot,
-                            phi_body=phi if phi_body is None else phi_body)
+    return PointPercept(source_agent=source, point_index=idx, eye=eye,
+                        phi=phi, phi_dot=phi_dot,
+                        phi_body=phi if phi_body is None else phi_body)
 
 
 # ----------------------------------------------------------------- eye fields
 
+def check_eye_field_bounds(cva_deg, theta_i_deg=120.0):
+    """Sources just inside and just outside each eye's two field bounds.
+
+    A stationary observer at the arena center faces +y.  A source 15mm from
+    one eye moves tangentially about it, in the direction that is
+    contralateral for that eye only, so GRM fires iff its azimuth lies in
+    that eye's field: right eye [-theta_i, +cva], left eye [-cva, +theta_i].
+    """
+    cva, theta_i = math.radians(cva_deg), math.radians(theta_i_deg)
+    margin = math.radians(6)  # wider than the source's ~4 deg angular extent
+    params = SimParams(cva=cva, ipsi_field=theta_i)
+    offsets = per.eye_offsets(params.d_eye)
+    # (eye row, bound, +1 if the field lies below the bound, motion sign)
+    cases = [(1, cva, 1, 1.0), (1, -theta_i, -1, 1.0),
+             (0, -cva, -1, -1.0), (0, theta_i, 1, -1.0)]
+    for eye, bound, inward, spin in cases:
+        for inside in (True, False):
+            phi = bound - inward * margin if inside else bound + inward * margin
+            bearing = math.pi / 2 + phi
+            src = np.array([25.0, 25.0]) + offsets[eye] \
+                + 15.0 * np.array([math.cos(bearing), math.sin(bearing)])
+            course = bearing + spin * math.pi / 2   # tangential about the eye
+            world = snapshot(row(25.0, 25.0, math.pi / 2, moving=False),
+                               row(src[0], src[1], course))
+            max_grm, causes, _, _ = kernel_row(per.world_summaries(*world, params), 0)
+            label = f"eye {eye}, bound {math.degrees(bound):.0f}, inside {inside}"
+            if inside:
+                assert max_grm > 0.0 and causes == {1}, label
+            else:
+                assert (max_grm, causes) == (0.0, frozenset()), label
+
+
 def test_eye_fields_zero_cva_meet_at_midline():
-    left, right = per.eye_fields(0.0, math.radians(120))
-    assert right.field_lo == pytest.approx(-math.radians(120))
-    assert right.field_hi == pytest.approx(0.0)
-    assert left.field_lo == pytest.approx(0.0)
-    assert left.field_hi == pytest.approx(math.radians(120))
+    check_eye_field_bounds(0.0)
 
 
 def test_eye_fields_default_table_values():
-    left, right = per.eye_fields(math.radians(30), math.radians(120))
-    assert (right.field_lo, right.field_hi) == pytest.approx(
-        (-math.radians(120), math.radians(30)))
-    assert (left.field_lo, left.field_hi) == pytest.approx(
-        (-math.radians(30), math.radians(120)))
-    assert left.offset[0] == pytest.approx(-0.275)
-    assert right.offset[0] == pytest.approx(0.275)
+    check_eye_field_bounds(30.0)
+    assert per.eye_offsets(0.55) == pytest.approx(
+        np.array([(-0.275, per.EYE_FORWARD), (0.275, per.EYE_FORWARD)]))
 
 
 def test_eye_fields_maximal_overlap():
-    left, right = per.eye_fields(math.radians(90), math.radians(120))
     # binocular overlap covers [-90, 90]
-    lo = max(left.field_lo, right.field_lo)
-    hi = min(left.field_hi, right.field_hi)
-    assert (lo, hi) == pytest.approx((-math.pi / 2, math.pi / 2))
+    check_eye_field_bounds(90.0)
 
 
 def test_eye_fields_validation():
     with pytest.raises(ValueError):
-        per.eye_fields(-0.1, 1.0)
+        SimParams(cva=-0.1).validate()
     with pytest.raises(ValueError):
-        per.eye_fields(0.2, 0.0)
+        SimParams(cva=math.pi / 2 + 1e-9).validate()
+    with pytest.raises(ValueError):
+        SimParams(ipsi_field=0.0).validate()
+    with pytest.raises(ValueError):
+        SimParams(ipsi_field=math.pi + 1e-9).validate()
 
 
 def test_body_outline_shape():
@@ -65,50 +99,45 @@ def test_body_outline_shape():
     assert mirrored == {(x, y) for x, y in per.BODY_OUTLINE}
 
 
-# ------------------------------------------------------------- project_points
+# ------------------------------------------------------------- projection
 
 def test_head_on_approach_expands_and_cva_cone_sees_grm():
     params = SimParams(cva=math.radians(30))
-    observer = make_agent(0, 25.0, 20.0, math.pi / 2, speed=20.0)
-    target = make_agent(1, 25.0, 28.0, math.pi / 2, moving=0)
-    percepts = per.project_points(observer, [target], params)
+    world = snapshot(row(25.0, 20.0, math.pi / 2, speed=20.0),
+                       row(25.0, 28.0, math.pi / 2, moving=False))
+    percepts = project_points(0, *world, params)
     assert percepts
     for p in percepts:
         # expansion: image points drift outward from each eye's own axis
         if abs(p.phi) > 1e-6:
             assert math.copysign(1.0, p.phi_dot) == math.copysign(1.0, p.phi)
-    # the stationary obstacle ahead is a GRM stimulus within the cva cone
-    max_grm, causes = per.detect_grm(percepts)
-    assert max_grm > 0 and causes == {1}
+    # the stationary obstacle ahead is a GRM stimulus within the cva cone,
     # and a looming stimulus (it expands on both sides)
-    omega, loom_causes = per.looming_strength(percepts)
+    max_grm, causes, omega, loom_causes = kernel_row(per.world_summaries(*world, params), 0)
+    assert max_grm > 0 and causes == {1}
     assert omega > 0 and loom_causes == {1}
 
 
 def test_agent_directly_behind_is_invisible():
     params = SimParams()
-    observer = make_agent(0, 25.0, 25.0, math.pi / 2)
-    behind = make_agent(1, 25.0, 20.0, math.pi / 2)
-    assert per.project_points(observer, [behind], params) == []
-
-
-def test_observer_in_others_rejected():
-    params = SimParams()
-    a = make_agent(0, 25.0, 25.0, 0.0)
-    with pytest.raises(ValueError):
-        per.project_points(a, [a], params)
+    # the agent behind closes in, so it would move on the retina if seen
+    world = snapshot(row(25.0, 25.0, math.pi / 2),
+                       row(25.0, 20.0, math.pi / 2, speed=30.0))
+    assert project_points(0, *world, params) == []
+    assert kernel_row(per.world_summaries(*world, params), 0) == \
+        (0.0, frozenset(), 0.0, frozenset())
 
 
 def test_crossing_percepts_match_closed_form_rate():
     # observer arriving second at a perpendicular crossing: the other agent's
     # observed rates match the closed-form center rate in sign and scale
     params = SimParams()
-    observer = make_agent(0, 25.0, 20.0, math.pi / 2, speed=10.0)
-    other = make_agent(1, 29.0, 25.0, math.pi, speed=20.0)
+    world = snapshot(row(25.0, 20.0, math.pi / 2, speed=10.0),
+                       row(29.0, 25.0, math.pi, speed=20.0))
     # gap: when the other reaches (25, 25) in 0.2s the observer sits 3mm short
     scenario = geo.CrossingScenario(10.0, 20.0, math.pi / 2, -3.0, progress=-2.0)
     expected = geo.crossing_angular_velocity(scenario)
-    percepts = per.project_points(observer, [other], params)
+    percepts = project_points(0, *world, params)
     assert percepts
     rates = np.array([p.phi_dot for p in percepts])
     assert np.all(np.sign(rates) == np.sign(expected))
@@ -116,16 +145,18 @@ def test_crossing_percepts_match_closed_form_rate():
     assert geo.is_regressive(percepts[0].phi, percepts[0].phi_dot)
 
 
-def test_coincident_point_skipped_and_counted():
-    # engineered so one outline point lands exactly on both (coincident) eyes
+def test_coincident_point_skipped():
+    # engineered so one outline point lands exactly on both (coincident) eyes:
+    # the source faces the observer with its spine tip (0, 1) on the eye
     params = SimParams(d_eye=0.0)
-    observer = make_agent(0, 16.0, 16.0, math.pi / 2)
-    src_y = (16.0 + per.EYE_FORWARD) - 1.0  # spine tip (0, 1) hits the eye
-    source = make_agent(1, 16.0, src_y, math.pi / 2)
-    diag = {}
-    percepts = per.project_points(observer, [source], params, diagnostics=diag)
-    assert diag["coincident_skipped"] == 2  # once per eye
-    assert all(not (p.phi == 0 and p.phi_dot == 0) for p in percepts)
+    src_y = (16.0 + per.EYE_FORWARD) + 1.0
+    world = snapshot(row(16.0, 16.0, math.pi / 2), row(16.0, src_y, -math.pi / 2))
+    summary = per.world_summaries(*world, params)
+    assert np.isfinite(summary.max_grm).all() and np.isfinite(summary.omega_loom).all()
+    percepts = project_points(0, *world, params)
+    # the tip is skipped on both eyes; every other point is seen
+    assert sorted({p.point_index for p in percepts}) == list(range(1, 14))
+    assert kernel_row(summary, 0) == pytest.approx(summarize(percepts), rel=1e-9)
 
 
 # ----------------------------------------------------------------- detect_grm
@@ -133,27 +164,27 @@ def test_coincident_point_skipped_and_counted():
 def test_detect_grm_picks_contralateral_max():
     ps = [percept(source=1, eye="right", phi=-0.2, phi_dot=7.0),
           percept(source=1, eye="left", phi=0.4, phi_dot=3.0)]  # CCW on left: progressive
-    mag, causes = per.detect_grm(ps)
+    mag, causes = detect_grm(ps)
     assert mag == 7.0 and causes == {1}
 
 
 def test_detect_grm_no_events():
     ps = [percept(source=1, eye="left", phi=0.4, phi_dot=3.0),
           percept(source=2, eye="right", phi=-0.4, phi_dot=-3.0)]
-    assert per.detect_grm(ps) == (0.0, frozenset())
+    assert detect_grm(ps) == (0.0, frozenset())
 
 
 def test_detect_grm_maximum_selection():
     ps = [percept(source=1, eye="right", phi=0.1, phi_dot=7.0),
           percept(source=2, eye="right", phi=0.1, phi_dot=5.0)]
-    mag, causes = per.detect_grm(ps)
+    mag, causes = detect_grm(ps)
     assert mag == 7.0 and causes == {1}
 
 
 def test_detect_grm_tied_causes():
     ps = [percept(source=1, eye="right", phi=0.1, phi_dot=5.0),
           percept(source=2, eye="left", phi=0.1, phi_dot=-5.0)]
-    mag, causes = per.detect_grm(ps)
+    mag, causes = detect_grm(ps)
     assert mag == 5.0 and causes == {1, 2}
 
 
@@ -162,27 +193,27 @@ def test_detect_grm_tied_causes():
 def test_looming_min_of_sides():
     ps = [percept(source=1, eye="left", phi=0.5, phi_dot=3.0),
           percept(source=1, eye="right", phi=-0.5, phi_dot=-5.0)]
-    omega, causes = per.looming_strength(ps)
+    omega, causes = looming_strength(ps)
     assert omega == 3.0 and causes == {1}
 
 
 def test_looming_one_sided_is_zero():
     ps = [percept(source=1, eye="right", phi=-0.5, phi_dot=-5.0),
           percept(source=1, eye="right", phi=-0.3, phi_dot=-2.0)]
-    assert per.looming_strength(ps) == (0.0, frozenset())
+    assert looming_strength(ps) == (0.0, frozenset())
 
 
 def test_looming_two_agents_one_expanding_entity():
     ps = [percept(source=1, eye="left", phi=0.5, phi_dot=3.0),
           percept(source=2, eye="right", phi=-0.5, phi_dot=-5.0)]
-    omega, causes = per.looming_strength(ps)
+    omega, causes = looming_strength(ps)
     assert omega == 3.0 and causes == {1, 2}
 
 
 def test_looming_midline_point_belongs_to_neither_hemifield():
     ps = [percept(source=1, eye="left", phi=0.0, phi_dot=3.0, phi_body=0.0),
           percept(source=1, eye="right", phi=-0.5, phi_dot=-5.0)]
-    assert per.looming_strength(ps)[0] == 0.0
+    assert looming_strength(ps)[0] == 0.0
 
 
 def test_detectors_permutation_invariant():
@@ -193,33 +224,29 @@ def test_detectors_permutation_invariant():
                   phi_dot=float(rng.normal() * 4),
                   phi_body=float(rng.uniform(-2, 2)))
           for _ in range(40)]
-    base = (per.detect_grm(ps), per.looming_strength(ps))
+    base = (detect_grm(ps), looming_strength(ps))
     for seed in range(5):
         order = np.random.default_rng(seed).permutation(len(ps))
         shuffled = [ps[k] for k in order]
-        assert (per.detect_grm(shuffled), per.looming_strength(shuffled)) == base
+        assert (detect_grm(shuffled), looming_strength(shuffled)) == base
 
 
 # ------------------------------------------------------------- invariants
 
 def _random_world(rng, params, n=6):
-    agents = []
-    for i in range(n):
-        agents.append(make_agent(
-            i, rng.uniform(0, params.arena), rng.uniform(0, params.arena),
-            rng.uniform(0, 2 * math.pi), speed=rng.uniform(10, 30),
-            moving=int(rng.random() < 0.8)))
-    return agents
+    return snapshot(*(row(rng.uniform(0, params.arena), rng.uniform(0, params.arena),
+                            rng.uniform(0, 2 * math.pi), speed=rng.uniform(10, 30),
+                            moving=bool(rng.random() < 0.8))
+                        for _ in range(n)))
 
 
 def test_every_grm_event_satisfies_is_grm():
     params = SimParams(cva=math.radians(30))
     rng = np.random.default_rng(7)
     for _ in range(30):
-        agents = _random_world(rng, params)
-        for obs in agents:
-            others = [a for a in agents if a.ident != obs.ident]
-            for p in per.project_points(obs, others, params):
+        world = _random_world(rng, params)
+        for i in range(len(world[0])):
+            for p in project_points(i, *world, params):
                 contra = p.phi_dot > 0 if p.eye == "right" else p.phi_dot < 0
                 if contra:
                     assert geo.is_grm(p.phi, p.phi_dot, params.cva)
@@ -227,34 +254,38 @@ def test_every_grm_event_satisfies_is_grm():
 
 def test_looming_zero_for_single_hemifield_world():
     params = SimParams()
-    observer = make_agent(0, 25.0, 25.0, math.pi / 2)
-    lefties = [make_agent(i, 25.0 - 3.0 * i, 25.0 + 2.0 * i, 0.0) for i in (1, 2)]
-    percepts = per.project_points(observer, lefties, params)
-    assert all(p.phi_body > 0 for p in percepts)
-    assert per.looming_strength(percepts)[0] == 0.0
+    world = snapshot(row(25.0, 25.0, math.pi / 2),
+                       *(row(25.0 - 3.0 * i, 25.0 + 2.0 * i, 0.0) for i in (1, 2)))
+    percepts = project_points(0, *world, params)
+    assert percepts and all(p.phi_body > 0 for p in percepts)
+    assert per.world_summaries(*world, params).omega_loom[0] == 0.0
 
 
 def test_vectorized_summaries_agree_with_object_path():
+    # the kernel and the independent scalar oracle: equal cause sets, and
+    # signals equal up to the rounding of two different computations
     rng = np.random.default_rng(13)
     params = SimParams(cva=math.radians(40))
     for _ in range(40):
-        agents = _random_world(rng, params, n=5)
-        vector = per.world_summaries(agents, params)
-        for i, obs in enumerate(agents):
-            others = [a for a in agents if a.ident != obs.ident]
-            listed = per.summarize(per.project_points(obs, others, params))
-            assert vector[i] == listed
+        world = _random_world(rng, params, n=5)
+        summary = per.world_summaries(*world, params)
+        for i in range(5):
+            max_grm, grm_causes, omega, loom_causes = kernel_row(summary, i)
+            want = summarize(project_points(i, *world, params))
+            assert (grm_causes, loom_causes) == (want[1], want[3])
+            assert max_grm == pytest.approx(want[0], rel=1e-9, abs=1e-12)
+            assert omega == pytest.approx(want[2], rel=1e-9, abs=1e-12)
 
 
 def test_summary_invariants_on_random_worlds():
     rng = np.random.default_rng(19)
     params = SimParams()
     for _ in range(20):
-        agents = _random_world(rng, params)
-        for s in per.world_summaries(agents, params):
-            assert s.max_grm >= 0 and s.omega_loom >= 0
-            assert (s.max_grm == 0) == (not s.grm_causes)
-            assert (s.omega_loom == 0) == (not s.loom_causes)
+        s = per.world_summaries(*_random_world(rng, params), params)
+        assert np.all(s.max_grm >= 0) and np.all(s.omega_loom >= 0)
+        assert np.array_equal(s.max_grm == 0, ~s.grm_causes.any(axis=1))
+        assert np.array_equal(s.omega_loom == 0, ~s.loom_causes.any(axis=1))
+        assert not s.grm_causes.diagonal().any() and not s.loom_causes.diagonal().any()
 
 
 def test_eye_azimuths_converge_to_eye_midpoint_azimuth():
