@@ -5,7 +5,8 @@ frozen stop-instant state, at least one of its cause agents would have come
 within the collision distance inside the prediction horizon; otherwise it is
 a false positive.  Stops whose cause is already inside the collision
 distance are excluded from both bins (the imminent contact shows up as a
-collision instead).  Every recorded collision contributes false negatives.
+collision instead).  Every recorded collision counts two false negatives,
+one per agent involved.
 
 mobility = TP / (TP + FP)      fraction of stops that were warranted
 safety   = TP / (TP + FN)      fraction of potential collisions averted
@@ -20,6 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .dynamics import SimParams
 from .geometry import min_image_delta
 
 
@@ -73,75 +75,53 @@ def predict_collision(p_rel, v_rel, d_coll: float, horizon: float) -> bool:
     return float(closest @ closest) < d_coll * d_coll
 
 
-def stop_excluded(stop, arena: float, d_coll: float) -> bool:
-    """A stop whose cause already sits inside the collision distance.
+def label_stops(stops: Sequence, params: SimParams) -> list[str]:
+    """Per-stop labels: "excluded", "TP" or "FP".
 
-    Such an encounter is neither a true nor a false positive; the contact
-    itself is scored separately as a collision.
+    A stop is excluded when any cause sits inside the collision distance,
+    else a true positive when any cause is on a straight-line collision
+    course (``predict_collision``), else a false positive.
     """
-    own = stop.frozen_positions[stop.agent]
-    for cause in stop.cause_agents:
-        delta = min_image_delta(own, stop.frozen_positions[cause], arena)
-        if float(delta @ delta) < d_coll * d_coll:
-            return True
-    return False
-
-
-def classify_stop(stop, arena: float, d_coll: float, horizon: float) -> str:
-    """\"TP\" if any cause agent was on a straight-line collision course."""
-    own_pos = stop.frozen_positions[stop.agent]
-    own_vel = np.asarray(stop.frozen_velocities[stop.agent])
-    for cause in stop.cause_agents:
-        p_rel = min_image_delta(own_pos, stop.frozen_positions[cause], arena)
-        v_rel = np.asarray(stop.frozen_velocities[cause]) - own_vel
-        if predict_collision(p_rel, v_rel, d_coll, horizon):
-            return "TP"
-    return "FP"
-
-
-def label_stops(stops: Sequence, *, arena: float, d_coll: float,
-                horizon: float) -> list[str]:
-    """Per-stop labels: "TP", "FP" or "excluded"."""
+    d_coll = params.collision_distance
     labels = []
     for stop in stops:
-        if stop_excluded(stop, arena, d_coll):
+        own_pos = stop.frozen_positions[stop.agent]
+        own_vel = stop.frozen_velocities[stop.agent]
+        rel = [(min_image_delta(own_pos, stop.frozen_positions[cause], params.arena),
+                stop.frozen_velocities[cause] - own_vel)
+               for cause in stop.cause_agents]
+        if any(float(p @ p) < d_coll * d_coll for p, _ in rel):
             labels.append("excluded")
+        elif any(predict_collision(p, v, d_coll, params.predict_horizon) for p, v in rel):
+            labels.append("TP")
         else:
-            labels.append(classify_stop(stop, arena, d_coll, horizon))
+            labels.append("FP")
     return labels
 
 
-def count_events(stops: Sequence, collisions: Sequence,
-                 encounters: Sequence = (), *, arena: float, d_coll: float,
-                 horizon: float, fn_per_collision: int = 2) -> EncounterCounts:
-    """Tally TP/FP/TN/FN from one trial's event logs.
+def count_events(stops: Sequence, labels: Sequence[str], collisions: Sequence,
+                 encounters: Sequence) -> EncounterCounts:
+    """Tally TP/FP/TN/FN from one trial's event logs and its stop labels.
 
-    Each collision counts ``fn_per_collision`` false negatives (default 2,
-    one per agent involved).  True negatives are encounter episodes that
-    entered perception range and separated with neither a stop attributed
-    to the pair nor a collision; they are diagnostics only and feed neither
+    TP and FP come from ``labels`` (one per stop, from ``label_stops``).
+    Each collision counts two false negatives, one per agent involved.
+    True negatives are encounter episodes that entered perception range and
+    separated with neither a stop blamed on the pair nor a collision inside
+    ``[t_enter - 1, t_exit]``; they are diagnostics only and feed neither
     metric.
     """
-    labels = label_stops(stops, arena=arena, d_coll=d_coll, horizon=horizon)
-    tp = labels.count("TP")
-    fp = labels.count("FP")
-    fn = fn_per_collision * len(collisions)
+    event_times: dict[frozenset, list[int]] = {}
+    for stop in stops:
+        for cause in stop.cause_agents:
+            event_times.setdefault(frozenset((stop.agent, cause)), []).append(stop.t)
+    for collision in collisions:
+        event_times.setdefault(frozenset(collision.pair), []).append(collision.t)
 
-    tn = 0
-    for enc in encounters:
-        a, b = enc.pair
-        stopped = any(
-            s.agent in enc.pair
-            and (b if s.agent == a else a) in s.cause_agents
-            and enc.t_enter - 1 <= s.t <= enc.t_exit
-            for s in stops)
-        collided = any(
-            tuple(sorted(c.pair)) == tuple(sorted(enc.pair))
-            and enc.t_enter - 1 <= c.t <= enc.t_exit
-            for c in collisions)
-        if not stopped and not collided:
-            tn += 1
-    return EncounterCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+    tn = sum(1 for enc in encounters
+             if not any(enc.t_enter - 1 <= t <= enc.t_exit
+                        for t in event_times.get(frozenset(enc.pair), ())))
+    return EncounterCounts(tp=labels.count("TP"), fp=labels.count("FP"),
+                           tn=tn, fn=2 * len(collisions))
 
 
 def counts_to_metrics(counts: EncounterCounts) -> Metrics:

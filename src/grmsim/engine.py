@@ -176,12 +176,8 @@ def run_trial(params: SimParams, seed: int,
             pos=np.array(pos_log), heading=np.array(heading_log),
             moving=np.array(moving_log, dtype=int))
 
-    labels = analysis.label_stops(
-        stops, arena=params.arena, d_coll=params.collision_distance,
-        horizon=params.predict_horizon)
-    counts = analysis.count_events(
-        stops, collisions, encounters, arena=params.arena,
-        d_coll=params.collision_distance, horizon=params.predict_horizon)
+    labels = analysis.label_stops(stops, params)
+    counts = analysis.count_events(stops, labels, collisions, encounters)
     return analysis.TrialResult(
         params=params, seed=seed, counts=counts,
         metrics=analysis.counts_to_metrics(counts),

@@ -3,7 +3,7 @@
 Subcommands: ``simulate`` (one trial, optional frame dump), ``sweep``
 (parameter grid to CSV), ``verify`` (theorem suites), ``plot`` (CSV to SVG
 scatter).  Exit codes: 0 success, 1 verification counterexample, 2
-configuration or argument error.
+configuration or argument error, 3 sweep written but some trials failed.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--config", type=Path, help="key = value config file")
     simulate.add_argument("--seed", type=_int_at_least(0), default=0)
     simulate.add_argument("--out", type=Path, help="directory for frame dumps")
-    simulate.add_argument("--log-trajectories", action="store_true")
     simulate.add_argument("--stride", type=_int_at_least(1), default=100,
                           help="steps between dumped frames")
 
@@ -67,14 +66,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(path) -> HarnessConfig:
     if path is None:
-        return HarnessConfig(params=SimParams(), grid=None, workers=None)
+        return HarnessConfig(params=SimParams(), grid=None)
     return parse_config(path)
 
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
-    log = args.log_trajectories or args.out is not None
-    result = engine.run_trial(cfg.params, args.seed, log_trajectories=log)
+    result = engine.run_trial(cfg.params, args.seed,
+                              log_trajectories=args.out is not None)
     c, m = result.counts, result.metrics
     fmt = lambda v: "undefined" if v is None else f"{v:.6f}"
     print(f"seed {args.seed}: {cfg.params.horizon_steps} steps, "
@@ -95,15 +94,18 @@ def _cmd_sweep(args) -> int:
     grid = cfg.grid
     if args.trials is not None:
         grid = replace(grid, trials_per_cell=args.trials)
-    workers = args.workers if args.workers is not None else cfg.workers
-    table = sweep_mod.run_sweep(grid, cfg.params, workers=workers)
+    table = sweep_mod.run_sweep(grid, cfg.params, workers=args.workers)
     sweep_mod.emit_csv(table, args.out)
     n_cells = len(table.aggregates)
     print(f"wrote {len(table.rows)} rows ({n_cells} cells) to {args.out}")
     failures = [r for r in table.rows if r.error]
-    if failures:
-        print(f"warning: {len(failures)} trial(s) failed", file=sys.stderr)
-    return 0
+    if not failures:
+        return 0
+    for r in failures:
+        print(f"trial failed: cva={r.cva_deg:g} t_grm={r.t_grm:g} t_loom={r.t_loom:g} "
+              f"trial={r.trial} seed={r.seed}: {r.error}", file=sys.stderr)
+    print(f"error: {len(failures)} of {len(table.rows)} trial(s) failed", file=sys.stderr)
+    return 3
 
 
 def _cmd_verify(args) -> int:
@@ -118,6 +120,8 @@ def _cmd_plot(args) -> int:
         table = sweep_mod.parse_csv(args.csv)
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    if not table.aggregates:
+        raise ConfigError(f"{args.csv}: no sweep rows to plot")
     render.emit_scatter_svg(table.aggregates, args.out, bar_glyph=args.bar_glyph)
     print(f"wrote {args.out}")
     return 0

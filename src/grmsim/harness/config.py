@@ -26,7 +26,6 @@ class ConfigError(Exception):
 class HarnessConfig:
     params: SimParams
     grid: Optional[SweepGrid]
-    workers: Optional[int]
 
 
 _PARAM_KEYS = {
@@ -49,8 +48,6 @@ _PARAM_KEYS = {
 }
 
 _GRID_LIST_KEYS = ("cva_values_deg", "t_grm_values", "t_loom_values")
-_GRID_KEYS = _GRID_LIST_KEYS + ("trials_per_cell", "base_seed")
-_HARNESS_KEYS = ("workers",)
 
 
 def _parse_scalar(key: str, raw: str, kind):
@@ -76,7 +73,6 @@ def _parse_list(key: str, raw: str) -> tuple[float, ...]:
 def parse_config_text(text: str, origin: str = "<config>") -> HarnessConfig:
     params_kwargs = {}
     grid_kwargs = {}
-    workers = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -91,10 +87,6 @@ def parse_config_text(text: str, origin: str = "<config>") -> HarnessConfig:
             grid_kwargs[key] = _parse_list(key, raw)
         elif key in ("trials_per_cell", "base_seed"):
             grid_kwargs[key] = _parse_scalar(key, raw, int)
-        elif key == "workers":
-            workers = _parse_scalar(key, raw, int)
-            if workers < 1:
-                raise ConfigError(f"{origin}:{lineno}: workers must be at least 1")
         else:
             raise ConfigError(f"{origin}:{lineno}: unknown key {key!r}")
 
@@ -121,7 +113,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> HarnessConfig:
     elif any(k in grid_kwargs for k in ("trials_per_cell", "base_seed")):
         raise ConfigError(f"{origin}: sweep keys given without value lists")
 
-    return HarnessConfig(params=params, grid=grid, workers=workers)
+    return HarnessConfig(params=params, grid=grid)
 
 
 def parse_config(path) -> HarnessConfig:

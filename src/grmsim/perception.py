@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SimParams
-from .geometry import wrap_angle
+from .geometry import min_image_delta, wrap_angle
 
 # Body outline in the body frame (+y is the heading), mm.  Length 2, max
 # width 0.9, left/right symmetric, with two midline points on the spine.
@@ -73,7 +73,6 @@ def _percept_fields(pos, heading, vel, params: SimParams):
     coincide with an eye center, and an observer's own body, are not valid.
     """
     n = pos.shape[0]
-    side = params.arena
     ca = np.cos(heading - math.pi / 2.0)
     sa = np.sin(heading - math.pi / 2.0)
 
@@ -86,9 +85,8 @@ def _percept_fields(pos, heading, vel, params: SimParams):
     ex = pos[:, 0, None] + ca[:, None] * offs[:, 0] - sa[:, None] * offs[:, 1]
     ey = pos[:, 1, None] + sa[:, None] * offs[:, 0] + ca[:, None] * offs[:, 1]
 
-    halfside = 0.5 * side
-    dx = (px[None, None, :, :] - ex[:, :, None, None] + halfside) % side - halfside
-    dy = (py[None, None, :, :] - ey[:, :, None, None] + halfside) % side - halfside
+    dx = min_image_delta(ex[:, :, None, None], px[None, None, :, :], params.arena)
+    dy = min_image_delta(ey[:, :, None, None], py[None, None, :, :], params.arena)
     d2 = dx * dx + dy * dy
 
     phi = wrap_angle(np.arctan2(dy, dx) - heading[:, None, None, None])
@@ -101,8 +99,8 @@ def _percept_fields(pos, heading, vel, params: SimParams):
             (rvy[:, None, :, None] * dx - rvx[:, None, :, None] * dy) / np.where(d2 > 0, d2, 1.0),
             0.0)
 
-    bdx = (px[None, :, :] - pos[:, 0, None, None] + halfside) % side - halfside
-    bdy = (py[None, :, :] - pos[:, 1, None, None] + halfside) % side - halfside
+    bdx = min_image_delta(pos[:, 0, None, None], px[None, :, :], params.arena)
+    bdy = min_image_delta(pos[:, 1, None, None], py[None, :, :], params.arena)
     phi_body = wrap_angle(np.arctan2(bdy, bdx) - heading[:, None, None])  # (n, n, 14)
 
     lo = np.array([-params.cva, -params.ipsi_field])                 # left, right

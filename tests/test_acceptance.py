@@ -39,9 +39,7 @@ def _run_fixture(world, params, steps):
         world, ev = engine.step(world, streams)
         stops.extend(ev.stops)
         collisions.extend(ev.collisions)
-    labels = analysis.label_stops(stops, arena=params.arena,
-                                  d_coll=params.collision_distance,
-                                  horizon=params.predict_horizon)
+    labels = analysis.label_stops(stops, params)
     return world, stops, labels, collisions
 
 

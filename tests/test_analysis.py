@@ -5,8 +5,20 @@ import pytest
 
 from grmsim import analysis
 from grmsim.analysis import EncounterCounts, Metrics
+from grmsim.dynamics import SimParams
 from grmsim.engine import CollisionRecord, EncounterRecord, StopRecord
 from grmsim.harness.sweep import SweepRow, aggregate_rows
+
+
+# arena 50, collision distance 1.2, prediction horizon 2.0 (the defaults)
+PARAMS = SimParams()
+# so large that the min-image wrap never kicks in
+UNWRAPPED = SimParams(arena=1e9)
+
+
+def label(stop, params=PARAMS) -> str:
+    [only] = analysis.label_stops([stop], params)
+    return only
 
 
 def brute_force_predict(p_rel, v_rel, d_coll, horizon, step=1e-4):
@@ -80,51 +92,58 @@ def test_classify_crossing_cause_is_tp():
     # straight-line approach is 0.89mm < 1.2mm
     stop = stop_record(positions=[(25.0, 25.0), (29.0, 26.0)],
                        velocities=[(0.0, 10.0), (-20.0, 0.0)])
-    assert analysis.classify_stop(stop, arena=50.0, d_coll=1.2, horizon=2.0) == "TP"
+    assert label(stop) == "TP"
 
 
 def test_classify_departing_cause_is_fp():
     stop = stop_record(positions=[(25.0, 25.0), (29.0, 25.0)],
                        velocities=[(0.0, 10.0), (20.0, 0.0)])
-    assert analysis.classify_stop(stop, arena=50.0, d_coll=1.2, horizon=2.0) == "FP"
+    assert label(stop) == "FP"
 
 
 def test_classify_any_cause_on_course_suffices():
     stop = stop_record(causes=(1, 2),
                        positions=[(25.0, 25.0), (29.0, 10.0), (25.0, 30.0)],
                        velocities=[(0.0, 10.0), (20.0, 0.0), (0.0, -10.0)])
-    assert analysis.classify_stop(stop, arena=50.0, d_coll=1.2, horizon=2.0) == "TP"
+    assert label(stop) == "TP"
 
 
 def test_classify_stopped_cause_has_zero_velocity():
     # a stopped cause dead ahead of a walking agent is a genuine hazard
     stop = stop_record(positions=[(25.0, 25.0), (25.0, 30.0)],
                        velocities=[(0.0, 10.0), (0.0, 0.0)])
-    assert analysis.classify_stop(stop, arena=50.0, d_coll=1.2, horizon=2.0) == "TP"
+    assert label(stop) == "TP"
 
 
 def test_classification_uses_min_image_displacement():
     # cause just across the arena seam, closing
     stop = stop_record(positions=[(1.0, 25.0), (48.0, 25.0)],
                        velocities=[(-10.0, 0.0), (10.0, 0.0)])
-    assert analysis.classify_stop(stop, arena=50.0, d_coll=1.2, horizon=2.0) == "TP"
+    assert label(stop) == "TP"
 
 
 def test_stop_with_cause_inside_collision_radius_excluded():
     stop = stop_record(positions=[(25.0, 25.0), (25.8, 25.0)],
                        velocities=[(0.0, 10.0), (-20.0, 0.0)])
-    assert analysis.stop_excluded(stop, arena=50.0, d_coll=1.2)
-    labels = analysis.label_stops([stop], arena=50.0, d_coll=1.2, horizon=2.0)
+    labels = analysis.label_stops([stop], PARAMS)
     assert labels == ["excluded"]
-    counts = analysis.count_events([stop], [], arena=50.0, d_coll=1.2, horizon=2.0)
+    counts = analysis.count_events([stop], labels, [], [])
     assert counts.tp == 0 and counts.fp == 0
+
+
+def test_excluded_wins_over_an_on_course_cause():
+    # cause 2 is on a collision course, but cause 1 already sits inside 1.2mm
+    stop = stop_record(causes=(1, 2),
+                       positions=[(25.0, 25.0), (25.8, 25.0), (29.0, 26.0)],
+                       velocities=[(0.0, 10.0), (20.0, 0.0), (-20.0, 0.0)])
+    assert label(stop) == "excluded"
 
 
 def test_classification_invariant_under_rotation_translation():
     rng = np.random.default_rng(67)
     base = stop_record(positions=[(25.0, 25.0), (29.0, 26.0)],
                        velocities=[(0.0, 10.0), (-18.0, -2.0)])
-    reference = analysis.classify_stop(base, arena=1e9, d_coll=1.2, horizon=2.0)
+    reference = label(base, UNWRAPPED)
     for _ in range(50):
         theta = rng.uniform(0, 2 * math.pi)
         shift = rng.uniform(-30, 30, size=2)
@@ -135,37 +154,37 @@ def test_classification_invariant_under_rotation_translation():
         moved = StopRecord(t=10, agent=0, cause_agents=frozenset({1}),
                            channel="GRM", frozen_velocities=vel,
                            frozen_positions=pos)
-        # huge arena so the min-image wrap never kicks in under translation
-        assert analysis.classify_stop(moved, arena=1e9, d_coll=1.2,
-                                      horizon=2.0) == reference
+        assert label(moved, UNWRAPPED) == reference
 
 
 # --------------------------------------------------------------- count_events
 
+TP_GEOMETRY = dict(positions=[(25.0, 25.0), (29.0, 26.0)],
+                   velocities=[(0.0, 10.0), (-20.0, 0.0)])
+FP_GEOMETRY = dict(positions=[(25.0, 25.0), (29.0, 25.0)],
+                   velocities=[(0.0, 10.0), (20.0, 0.0)])
+
+
 def test_count_events_tallies():
-    tp_stop = stop_record(positions=[(25.0, 25.0), (29.0, 26.0)],
-                          velocities=[(0.0, 10.0), (-20.0, 0.0)])
-    fp_stop = stop_record(positions=[(25.0, 25.0), (29.0, 25.0)],
-                          velocities=[(0.0, 10.0), (20.0, 0.0)])
+    tp_stop, fp_stop = stop_record(**TP_GEOMETRY), stop_record(**FP_GEOMETRY)
     stops = [tp_stop, tp_stop, tp_stop, fp_stop]
     collisions = [CollisionRecord(t=50, pair=(2, 3))]
-    counts = analysis.count_events(stops, collisions, arena=50.0, d_coll=1.2,
-                                   horizon=2.0)
+    counts = analysis.count_events(stops, analysis.label_stops(stops, PARAMS),
+                                   collisions, [])
     assert (counts.tp, counts.fp, counts.fn) == (3, 1, 2)
 
 
+def test_count_events_follows_given_labels():
+    # the stop is geometrically a TP, but count_events must not relabel it
+    stop = stop_record(**TP_GEOMETRY)
+    assert label(stop) == "TP"
+    counts = analysis.count_events([stop], ["FP"], [], [])
+    assert (counts.tp, counts.fp) == (0, 1)
+
+
 def test_count_events_empty():
-    counts = analysis.count_events([], [], arena=50.0, d_coll=1.2, horizon=2.0)
+    counts = analysis.count_events([], [], [], [])
     assert counts == EncounterCounts()
-
-
-def test_count_events_fn_switch():
-    collisions = [CollisionRecord(t=5, pair=(0, 1))]
-    two = analysis.count_events([], collisions, arena=50.0, d_coll=1.2,
-                                horizon=2.0)
-    one = analysis.count_events([], collisions, arena=50.0, d_coll=1.2,
-                                horizon=2.0, fn_per_collision=1)
-    assert two.fn == 2 and one.fn == 1
 
 
 def test_count_events_true_negatives():
@@ -176,24 +195,52 @@ def test_count_events_true_negatives():
                        positions=[(25.0, 25.0), (10.0, 10.0), (29.0, 25.0)],
                        velocities=[(0.0, 10.0), (0.0, 0.0), (20.0, 0.0)], t=50)
     collisions = [CollisionRecord(t=60, pair=(1, 2))]
-    counts = analysis.count_events([stop], collisions,
-                                   [calm, blamed, crashed],
-                                   arena=50.0, d_coll=1.2, horizon=2.0)
+    counts = analysis.count_events([stop], ["FP"], collisions,
+                                   [calm, blamed, crashed])
     assert counts.tn == 1  # only the (0, 1) episode stayed uneventful
+
+
+@pytest.mark.parametrize("t, agent, cause, spoils", [
+    (9, 1, 0, True),     # t_enter - 1, blamed by the pair's other member
+    (10, 0, 1, True),    # t_enter
+    (90, 0, 1, True),    # t_exit
+    (91, 0, 1, False),   # t_exit + 1
+    (8, 0, 1, False),    # t_enter - 2
+    (50, 0, 2, False),   # blamed on a third agent
+    (50, 2, 0, False),   # a third agent's stop blamed on a pair member
+])
+def test_count_events_true_negative_window(t, agent, cause, spoils):
+    episode = EncounterRecord(pair=(0, 1), t_enter=10, t_exit=90)
+    stop = stop_record(agent=agent, causes=(cause,), t=t,
+                       positions=[(25.0, 25.0), (10.0, 10.0), (29.0, 25.0)],
+                       velocities=[(0.0, 10.0), (0.0, 0.0), (20.0, 0.0)])
+    counts = analysis.count_events([stop], ["FP"], [], [episode])
+    assert counts.tn == (0 if spoils else 1)
+
+
+def test_count_events_collision_window():
+    episode = EncounterRecord(pair=(0, 1), t_enter=10, t_exit=90)
+    for t, spoils in ((9, True), (90, True), (91, False)):
+        counts = analysis.count_events([], [], [CollisionRecord(t, (0, 1))], [episode])
+        assert counts.tn == (0 if spoils else 1), t
 
 
 def test_count_events_order_independent():
     rng = np.random.default_rng(71)
     stops = [stop_record(t=t) for t in (5, 9, 13)]
+    labels = analysis.label_stops(stops, PARAMS)
     collisions = [CollisionRecord(t=4, pair=(0, 1)), CollisionRecord(t=8, pair=(1, 2))]
-    base = analysis.count_events(stops, collisions, arena=50.0, d_coll=1.2,
-                                 horizon=2.0)
+    encounters = [EncounterRecord(pair=(0, 1), t_enter=t, t_exit=t + 2)
+                  for t in (1, 7, 11, 20)]
+    base = analysis.count_events(stops, labels, collisions, encounters)
+    assert base.tn == 2  # the episodes entered at 1 and 20 saw nothing
     for seed in range(5):
         s = list(rng.permutation(len(stops)))
         c = list(rng.permutation(len(collisions)))
-        shuffled = analysis.count_events([stops[i] for i in s],
+        e = list(rng.permutation(len(encounters)))
+        shuffled = analysis.count_events([stops[i] for i in s], [labels[i] for i in s],
                                          [collisions[i] for i in c],
-                                         arena=50.0, d_coll=1.2, horizon=2.0)
+                                         [encounters[i] for i in e])
         assert shuffled == base
 
 

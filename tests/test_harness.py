@@ -43,7 +43,6 @@ t_grm_values = 1, 4
 t_loom_values = 32
 trials_per_cell = 3
 base_seed = 7
-workers = 2
 """
 
 
@@ -55,7 +54,6 @@ def test_parse_full_config():
     assert cfg.params.sigma_jump == pytest.approx(math.radians(30))
     assert cfg.params.t_grm == 6.0
     assert cfg.grid == SweepGrid((10.0, 30.0), (1.0, 4.0), (32.0,), 3, 7)
-    assert cfg.workers == 2
 
 
 def test_parse_config_without_grid():
@@ -66,6 +64,9 @@ def test_parse_config_without_grid():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
         config.parse_config_text("frobnicate = 3\n")
+    # worker count is a command-line choice (--workers), not a config key
+    with pytest.raises(ConfigError, match="unknown key 'workers'"):
+        config.parse_config_text("workers = 2\n")
 
 
 def test_bad_value_rejected():
@@ -92,6 +93,7 @@ BAD_CONFIGS = {
     "infinite loom grid value": GRID_KEYS.replace("= 32", "= inf"),
     "negative threshold grid value": GRID_KEYS.replace("= 4", "= -1"),
     "zero workers": "workers = 0\n",
+    "workers key": "workers = 2\n",
 }
 
 
@@ -376,8 +378,7 @@ def test_cli_simulate_writes_frames(tmp_path, capsys):
     cfg.write_text("horizon_steps = 200\n", encoding="utf-8")
     out_dir = tmp_path / "frames"
     assert cli.main(["simulate", "--config", str(cfg), "--seed", "2",
-                     "--log-trajectories", "--out", str(out_dir),
-                     "--stride", "50"]) == 0
+                     "--out", str(out_dir), "--stride", "50"]) == 0
     assert len(list(out_dir.glob("frame_*.svg"))) == 4
 
 
@@ -434,6 +435,44 @@ def test_cli_config_error_exit_code(tmp_path, capsys, monkeypatch):
         assert exit_code(argv) == 2, argv
         err = capsys.readouterr().err
         assert "error: argument" in err and "Traceback" not in err, argv
+
+
+def test_cli_simulate_has_no_log_trajectories_flag(capsys):
+    # --out alone turns trajectory logging on; the flag did nothing else
+    assert exit_code(["simulate", "--log-trajectories"]) == 2
+    assert "unrecognized arguments: --log-trajectories" in capsys.readouterr().err
+
+
+def test_cli_sweep_failed_trial_exit_code(tmp_path, capsys):
+    # an arena too crowded to place its agents: the trial fails, the CSV is
+    # still written, and the exit code and stderr say so
+    cfg = tmp_path / "crowded.cfg"
+    cfg.write_text("N = 60\nR = 8\nhorizon_steps = 10\ncva_values_deg = 30\n"
+                   "t_grm_values = 4\nt_loom_values = 32\ntrials_per_cell = 1\n"
+                   "base_seed = 5\n", encoding="utf-8")
+    csv_path = tmp_path / "out.csv"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(csv_path),
+                     "--workers", "1"]) == 3
+    err = capsys.readouterr().err
+    seed = derive_seed(5, 0, 0)
+    assert (f"trial failed: cva=30 t_grm=4 t_loom=32 trial=0 seed={seed}: "
+            "could not place 60 agents") in err
+    assert "1 of 1 trial(s) failed" in err and "Traceback" not in err
+    assert csv_path.read_text(encoding="utf-8").splitlines() == [
+        "cva_deg,t_grm,t_loom,trial,seed,tp,fp,tn,fn,mobility,safety",
+        f"30,4,32,0,{seed},,,,,,"]
+
+
+def test_cli_plot_header_only_csv_is_config_error(tmp_path, capsys):
+    csv_path = tmp_path / "empty.csv"
+    csv_path.write_text("cva_deg,t_grm,t_loom,trial,seed,tp,fp,tn,fn,mobility,safety\n",
+                        encoding="utf-8")
+    svg_path = tmp_path / "out.svg"
+    assert cli.main(["plot", str(csv_path), "--out", str(svg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "no sweep rows" in err
+    assert "Traceback" not in err
+    assert not svg_path.exists()
 
 
 def test_cli_sweep_without_grid_is_config_error(tmp_path, capsys):
