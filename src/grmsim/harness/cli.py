@@ -3,7 +3,8 @@
 Subcommands: ``simulate`` (one trial, optional frame dump), ``sweep``
 (parameter grid to CSV), ``verify`` (theorem suites), ``plot`` (CSV to SVG
 scatter).  Exit codes: 0 success, 1 verification counterexample, 2
-configuration or argument error, 3 sweep written but some trials failed.
+configuration or argument error or an unwritable ``--out``, 3 sweep
+written but some trials failed.
 """
 
 from __future__ import annotations
@@ -91,6 +92,8 @@ def _cmd_sweep(args) -> int:
     if cfg.grid is None:
         raise ConfigError(f"{args.config}: sweep requires grid keys "
                           "(cva_values_deg, t_grm_values, t_loom_values)")
+    if not args.out.parent.is_dir():
+        raise ConfigError(f"--out {args.out}: {args.out.parent} is not a directory")
     grid = cfg.grid
     if args.trials is not None:
         grid = replace(grid, trials_per_cell=args.trials)
@@ -136,6 +139,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # writing --out failed
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

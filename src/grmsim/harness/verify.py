@@ -29,6 +29,8 @@ import numpy as np
 from .. import geometry as geo
 
 WALL_THRESHOLDS = (0.1, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 32.0)
+# Halvings of the wall distance tried before a wall-cone sample fails.
+WALL_MAX_HALVINGS = 200
 
 
 @dataclass(frozen=True)
@@ -142,8 +144,7 @@ def check_grm_implication(samples: int, rng: np.random.Generator) -> SuiteResult
     return SuiteResult("grm-implication", samples, tuple(bad))
 
 
-def check_wall_cone(samples: int, rng: np.random.Generator,
-                    max_halvings: int = 200) -> SuiteResult:
+def check_wall_cone(samples: int, rng: np.random.Generator) -> SuiteResult:
     bad = []
     checked = 0
     for _ in range(samples):
@@ -156,7 +157,7 @@ def check_wall_cone(samples: int, rng: np.random.Generator,
             y = 20.0
             rate = 0.0
             found = False
-            for _ in range(max_halvings):
+            for _ in range(WALL_MAX_HALVINGS):
                 x = y * math.tan(alpha - cone_phi)
                 rate = geo.wall_angular_velocity(geo.WallScenario(alpha, speed, (x, y)))
                 if abs(rate) > threshold:
@@ -184,7 +185,7 @@ def verify_theorems(sample_count: int = 1000, seed: int = 0,
     report = TheoremReport(suites=(
         check_rate_oracle(sample_count, rng, rate),
         check_crossing_signs(sample_count, rng, rate),
-        check_grm_implication(max(sample_count, 1), rng),
+        check_grm_implication(sample_count, rng),
         check_wall_cone(max(1, sample_count // 10), rng),
     ))
     if report_path is not None:

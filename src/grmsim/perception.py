@@ -1,14 +1,15 @@
 """Two-eyed retinal model.
 
-Each agent body is a fixed 14-point outline.  An observer projects every
-point of every other agent onto each of its two eyes, keeps the points
-inside that eye's visual field, and reads two scalar signals off the
-resulting percepts:
+Each agent body is a fixed 14-point outline.  An observer sees every point
+of every other agent from each of its two eyes, at an azimuth measured in
+the observer's own frame (0 along the heading, positive to the left), keeps
+the points inside that eye's visual field, and reads two signals off them:
 
 * GRM: the largest magnitude of contralateral motion (counter-clockwise on
   the right eye, clockwise on the left eye);
 * looming: the smaller of the strongest outward motions in the two body
-  hemifields, so only bilaterally expanding stimuli register.
+  hemifields, a point's hemifield being the side of the observer's spine
+  it lies on, so only bilaterally expanding stimuli register.
 
 Both signals come with the set of agents that caused them.  The whole world
 is processed at once as arrays indexed by agent row.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SimParams
-from .geometry import min_image_delta, wrap_angle
+from .geometry import min_image_delta
 
 # Body outline in the body frame (+y is the heading), mm.  Length 2, max
 # width 0.9, left/right symmetric, with two midline points on the spine.
@@ -65,14 +66,19 @@ def eye_offsets(d_eye: float) -> np.ndarray:
     return np.array([(-d_eye / 2.0, EYE_FORWARD), (d_eye / 2.0, EYE_FORWARD)])
 
 
-def _percept_fields(pos, heading, vel, params: SimParams):
-    """All pairwise retinal quantities for one frozen world snapshot.
+def _causes(by_source: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """Sources within the relative tolerance of each row's positive maximum."""
+    return (by_source >= (best * (1.0 - CAUSE_REL_TOL))[:, None]) & (best > 0.0)[:, None]
 
-    Returns arrays indexed (observer, eye, source, point) plus the
-    body-centered azimuth indexed (observer, source, point).  Points that
-    coincide with an eye center, and an observer's own body, are not valid.
+
+def world_summaries(pos: np.ndarray, heading: np.ndarray, vel: np.ndarray,
+                    params: SimParams) -> PerceptSummary:
+    """Percept summary for every agent against one frozen snapshot.
+
+    ``pos`` and ``vel`` are (n, 2), ``heading`` is (n,); row i is agent i.
+    An observer sees neither its own body nor a point on an eye center.
     """
-    n = pos.shape[0]
+    n = len(pos)
     ca = np.cos(heading - math.pi / 2.0)
     sa = np.sin(heading - math.pi / 2.0)
 
@@ -85,64 +91,34 @@ def _percept_fields(pos, heading, vel, params: SimParams):
     ex = pos[:, 0, None] + ca[:, None] * offs[:, 0] - sa[:, None] * offs[:, 1]
     ey = pos[:, 1, None] + sa[:, None] * offs[:, 0] + ca[:, None] * offs[:, 1]
 
+    # (observer, eye, source, point) displacements from each eye
     dx = min_image_delta(ex[:, :, None, None], px[None, None, :, :], params.arena)
     dy = min_image_delta(ey[:, :, None, None], py[None, None, :, :], params.arena)
     d2 = dx * dx + dy * dy
 
-    phi = wrap_angle(np.arctan2(dy, dx) - heading[:, None, None, None])
+    # observer frame: forward is the heading (-sa, ca), left its CCW normal
+    hx, hy = -sa[:, None, None, None], ca[:, None, None, None]
+    phi = np.arctan2(hx * dy - hy * dx, hx * dx + hy * dy)
+    lo = np.array([-params.cva, -params.ipsi_field])[:, None, None]  # left, right
+    hi = np.array([params.ipsi_field, params.cva])[:, None, None]
+    seen = (phi >= lo) & (phi <= hi) & (d2 > 0.0) & ~np.eye(n, dtype=bool)[:, None, :, None]
 
     rvx = vel[None, :, 0] - vel[:, None, 0]                          # (n, n)
     rvy = vel[None, :, 1] - vel[:, None, 1]
     with np.errstate(invalid="ignore", divide="ignore"):
-        phi_dot = np.where(
-            d2 > 0.0,
-            (rvy[:, None, :, None] * dx - rvx[:, None, :, None] * dy) / np.where(d2 > 0, d2, 1.0),
-            0.0)
-
-    bdx = min_image_delta(pos[:, 0, None, None], px[None, :, :], params.arena)
-    bdy = min_image_delta(pos[:, 1, None, None], py[None, :, :], params.arena)
-    phi_body = wrap_angle(np.arctan2(bdy, bdx) - heading[:, None, None])  # (n, n, 14)
-
-    lo = np.array([-params.cva, -params.ipsi_field])                 # left, right
-    hi = np.array([params.ipsi_field, params.cva])
-    in_field = (phi >= lo[None, :, None, None]) & (phi <= hi[None, :, None, None])
-
-    not_self = ~np.eye(n, dtype=bool)
-    valid = in_field & (d2 > 0.0) & not_self[:, None, :, None]
-    return phi, phi_dot, phi_body, valid
-
-
-def _causes(by_source: np.ndarray, best: np.ndarray) -> np.ndarray:
-    """Sources within the relative tolerance of each row's positive maximum."""
-    return (by_source >= (best * (1.0 - CAUSE_REL_TOL))[:, None]) & (best > 0.0)[:, None]
-
-
-def world_summaries(pos: np.ndarray, heading: np.ndarray, vel: np.ndarray,
-                    params: SimParams) -> PerceptSummary:
-    """Percept summary for every agent against one frozen snapshot.
-
-    ``pos`` and ``vel`` are (n, 2), ``heading`` is (n,); row i is agent i.
-    """
-    n = len(pos)
-    if n < 2:
-        zeros = np.zeros(n)
-        none = np.zeros((n, n), dtype=bool)
-        return PerceptSummary(zeros, none, zeros, none)
-    phi, phi_dot, phi_body, valid = _percept_fields(pos, heading, vel, params)
+        rate = (rvy[:, None, :, None] * dx - rvx[:, None, :, None] * dy) / d2
+    rate = np.where(seen, rate, 0.0)
 
     # left eye (index 0) reads clockwise, right eye (index 1) counter-clockwise
-    contra = np.empty_like(valid)
-    contra[:, 0] = phi_dot[:, 0] < 0.0
-    contra[:, 1] = phi_dot[:, 1] > 0.0
-    grm_mag = np.where(valid & contra, np.abs(phi_dot), 0.0)
-    grm_by_source = grm_mag.max(axis=(1, 3))                         # (n, n)
+    grm_by_source = np.maximum(np.maximum(-rate[:, 0], rate[:, 1]).max(axis=2), 0.0)
 
-    left_hemi = (phi_body > 0.0)[:, None, :, :]
-    right_hemi = (phi_body < 0.0)[:, None, :, :]
-    ccw = np.where(valid & left_hemi & (phi_dot > 0.0), phi_dot, 0.0)
-    cw = np.where(valid & right_hemi & (phi_dot < 0.0), -phi_dot, 0.0)
-    ccw_by_source = ccw.max(axis=(1, 3))
-    cw_by_source = cw.max(axis=(1, 3))
+    # hemifield: side of the observer's spine, by the lateral body-frame
+    # coordinate of the point about the body center; 0 is neither side
+    bdx = min_image_delta(pos[:, 0, None, None], px[None, :, :], params.arena)
+    bdy = min_image_delta(pos[:, 1, None, None], py[None, :, :], params.arena)
+    lateral = (ca[:, None, None] * bdx + sa[:, None, None] * bdy)[:, None]  # right > 0
+    ccw_by_source = np.maximum(np.where(lateral < 0.0, rate, 0.0).max(axis=(1, 3)), 0.0)
+    cw_by_source = np.maximum(np.where(lateral > 0.0, -rate, 0.0).max(axis=(1, 3)), 0.0)
 
     best_grm = grm_by_source.max(axis=1)
     best_ccw = ccw_by_source.max(axis=1)

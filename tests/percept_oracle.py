@@ -4,7 +4,7 @@ Each in-field body point of every other agent becomes one ``PointPercept``,
 built from ``geometry.azimuth``, ``geometry.angular_velocity`` and
 ``geometry.min_image_delta`` with its own rotations and field tests.  It
 shares only the body outline and the eye offsets with
-``perception._percept_fields``, so agreement between the two checks the
+``perception.world_summaries``, so agreement between the two checks the
 kernel's geometry as well as its reduction.
 """
 

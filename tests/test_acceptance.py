@@ -181,6 +181,7 @@ def test_criterion_04_wall_guarantee():
     assert sim_failures == 0
 
 
+@pytest.mark.slow
 def test_criterion_05_grm_tradeoff(grm_sweep):
     table, elapsed = grm_sweep
     qualifying = [a for a in table.aggregates
@@ -197,6 +198,7 @@ def test_criterion_05_grm_tradeoff(grm_sweep):
     assert elapsed < 300.0
 
 
+@pytest.mark.slow
 def test_criterion_06_looming_inferior(grm_sweep, loom_sweep):
     grm_table, _ = grm_sweep
     def best_safe_mobility(table):

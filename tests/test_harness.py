@@ -475,6 +475,39 @@ def test_cli_plot_header_only_csv_is_config_error(tmp_path, capsys):
     assert not svg_path.exists()
 
 
+def test_cli_sweep_into_missing_directory_is_config_error(tmp_path, capsys, monkeypatch):
+    # checked before any trial runs, so no result is lost
+    def no_work(*args, **kwargs):
+        raise AssertionError("sweep started despite an unwritable --out")
+    monkeypatch.setattr(cli.sweep_mod, "run_sweep", no_work)
+    out = tmp_path / "missing" / "out.csv"
+    assert cli.main(["sweep", "--config", str(write_config(tmp_path)),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "is not a directory" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_cli_verify_out_into_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.txt"
+    assert cli.main(["verify", "--samples", "10", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and str(out) in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_cli_simulate_out_on_a_regular_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("horizon_steps = 20\n", encoding="utf-8")
+    taken = tmp_path / "frames"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and str(taken) in err
+    assert "Traceback" not in err
+    assert taken.read_text(encoding="utf-8") == "not a directory\n"
+
+
 def test_cli_sweep_without_grid_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "nogrid.cfg"
     cfg.write_text("dt = 0.005\n", encoding="utf-8")

@@ -233,11 +233,16 @@ def test_detectors_permutation_invariant():
 
 # ------------------------------------------------------------- invariants
 
-def _random_world(rng, params, n=6):
-    return snapshot(*(row(rng.uniform(0, params.arena), rng.uniform(0, params.arena),
-                            rng.uniform(0, 2 * math.pi), speed=rng.uniform(10, 30),
-                            moving=bool(rng.random() < 0.8))
-                        for _ in range(n)))
+def _random_world(rng, params, n=6, box=None):
+    """n agents anywhere in the arena, or packed into a ``box`` mm square at a
+    random corner, which may straddle the torus seam."""
+    side = params.arena if box is None else box
+    corner = np.zeros(2) if box is None else rng.uniform(0, params.arena, size=2)
+    return snapshot(*(row(*((corner + (rng.uniform(0, side), rng.uniform(0, side)))
+                            % params.arena),
+                          rng.uniform(0, 2 * math.pi), speed=rng.uniform(10, 30),
+                          moving=bool(rng.random() < 0.8))
+                      for _ in range(n)))
 
 
 def test_every_grm_event_satisfies_is_grm():
@@ -261,15 +266,19 @@ def test_looming_zero_for_single_hemifield_world():
     assert per.world_summaries(*world, params).omega_loom[0] == 0.0
 
 
-def test_vectorized_summaries_agree_with_object_path():
+@pytest.mark.parametrize("ipsi_deg", [120, 180])
+@pytest.mark.parametrize("cva_deg", [0, 40, 90])
+def test_vectorized_summaries_agree_with_object_path(cva_deg, ipsi_deg):
     # the kernel and the independent scalar oracle: equal cause sets, and
-    # signals equal up to the rounding of two different computations
+    # signals equal up to the rounding of two different computations; every
+    # other world is packed into 8 mm, for near-field and seam-straddling bodies
     rng = np.random.default_rng(13)
-    params = SimParams(cva=math.radians(40))
-    for _ in range(40):
-        world = _random_world(rng, params, n=5)
+    params = SimParams(cva=math.radians(cva_deg), ipsi_field=math.radians(ipsi_deg))
+    for k in range(40):
+        n = int(rng.integers(2, 9))
+        world = _random_world(rng, params, n=n, box=8.0 if k % 2 else None)
         summary = per.world_summaries(*world, params)
-        for i in range(5):
+        for i in range(n):
             max_grm, grm_causes, omega, loom_causes = kernel_row(summary, i)
             want = summarize(project_points(i, *world, params))
             assert (grm_causes, loom_causes) == (want[1], want[3])
