@@ -100,7 +100,10 @@ def step(world: WorldState, rngs: list[RngStream]) -> tuple[WorldState, StepEven
     params = world.params
     t = world.time_step
     vel = dynamics.velocity(world.heading, world.speed, world.moving)
-    summary = perception.world_summaries(world.pos, world.heading, vel, params)
+    # a rate below both thresholds changes no decision, so pairs that cannot
+    # reach the lower one are skipped
+    summary = perception.world_summaries(world.pos, world.heading, vel, params,
+                                         floor=min(params.t_grm, params.t_loom))
 
     moving = dynamics.control_step(
         world.moving, summary.max_grm, summary.omega_loom, params, rngs)

@@ -73,6 +73,10 @@ def _load_config(path) -> HarnessConfig:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
+    if args.out is not None:
+        existing = next(p for p in (args.out, *args.out.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"--out {args.out}: {existing} is not a directory")
     result = engine.run_trial(cfg.params, args.seed,
                               log_trajectories=args.out is not None)
     c, m = result.counts, result.metrics
@@ -112,6 +116,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.out is not None and not args.out.parent.is_dir():
+        raise ConfigError(f"--out {args.out}: {args.out.parent} is not a directory")
     report = verify_mod.verify_theorems(
         sample_count=args.samples, seed=args.seed, report_path=args.out)
     sys.stdout.write(report.render())

@@ -1,4 +1,5 @@
 import math
+import pathlib
 from dataclasses import replace
 
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 from grmsim import analysis, dynamics, engine, perception
 from grmsim.dynamics import SimParams
 from grmsim.geometry import min_image_delta, wrap_torus
+from grmsim.harness import config
 from scenario_fixtures import (agent, collision_course_scenario, fixture_params,
                                overtake_scenario, world_of)
 
 NEVER = 1e9  # threshold no percept can reach
+DESK = pathlib.Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
 QUIET = SimParams(t_grm=NEVER, t_loom=NEVER, p_restart=0.0, horizon_steps=0)
 
 
@@ -160,6 +163,37 @@ def test_run_trial_deterministic_repeat():
     assert np.array_equal(a.trajectory.heading, b.trajectory.heading)
     assert [s.t for s in a.stops] == [s.t for s in b.stops]
     assert [s.cause_agents for s in a.stops] == [s.cause_agents for s in b.stops]
+
+
+def _trial_outputs(result):
+    return ([(s.t, s.agent, s.cause_agents, s.channel) for s in result.stops],
+            result.collisions, result.encounters, result.counts)
+
+
+@pytest.mark.parametrize("n_agents, t_grm, t_loom, seed",
+                         [(10, 6.0, 32.0, 2), (30, 1.0, 4.0, 0)])
+def test_pair_culling_leaves_trials_unchanged(monkeypatch, n_agents, t_grm, t_loom, seed):
+    # the engine culls at min(T_grm, T_loom); forcing floor 0 evaluates every
+    # moving pair and must give the same trial
+    desk = config.parse_config(DESK).params
+    params = replace(desk, n_agents=n_agents, t_grm=t_grm, t_loom=t_loom,
+                     horizon_steps=400)
+    culled = engine.run_trial(params, seed)
+
+    exact_summaries = perception.world_summaries
+    floors, skipped = set(), 0
+
+    def at_floor_zero(pos, heading, vel, params, *, floor):
+        nonlocal skipped
+        floors.add(floor)
+        skipped += int((perception.kept_pairs(pos, vel, params)
+                        & ~perception.kept_pairs(pos, vel, params, floor)).sum())
+        return exact_summaries(pos, heading, vel, params)
+
+    monkeypatch.setattr(perception, "world_summaries", at_floor_zero)
+    exact = engine.run_trial(params, seed)
+    assert floors == {min(t_grm, t_loom)} and skipped > 0
+    assert culled.stops and _trial_outputs(culled) == _trial_outputs(exact)
 
 
 def test_every_stop_transition_yields_one_record():

@@ -488,23 +488,35 @@ def test_cli_sweep_into_missing_directory_is_config_error(tmp_path, capsys, monk
     assert "Traceback" not in err and not out.exists()
 
 
-def test_cli_verify_out_into_missing_directory_exits_2(tmp_path, capsys):
+def test_cli_verify_out_into_missing_directory_exits_2(tmp_path, capsys, monkeypatch):
+    # checked before the suites run, so no report is lost
+    def no_work(*args, **kwargs):
+        raise AssertionError("verify started despite an unwritable --out")
+    monkeypatch.setattr(cli.verify_mod, "verify_theorems", no_work)
     out = tmp_path / "missing" / "report.txt"
     assert cli.main(["verify", "--samples", "10", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and str(out) in err
+    assert "configuration error" in err and "is not a directory" in err
     assert "Traceback" not in err and not out.exists()
 
 
-def test_cli_simulate_out_on_a_regular_file_exits_2(tmp_path, capsys):
+def test_cli_simulate_out_on_a_regular_file_exits_2(tmp_path, capsys, monkeypatch):
+    # checked before the trial runs, for the path itself and for its parents
+    def no_work(*args, **kwargs):
+        raise AssertionError("trial started despite an unwritable --out")
+    monkeypatch.setattr(cli.engine, "run_trial", no_work)
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("horizon_steps = 20\n", encoding="utf-8")
     taken = tmp_path / "frames"
     taken.write_text("not a directory\n", encoding="utf-8")
-    assert cli.main(["simulate", "--config", str(cfg), "--out", str(taken)]) == 2
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and str(taken) in err
-    assert "Traceback" not in err
+    for out in (taken, taken / "sub"):
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and str(out) in captured.err
+        assert "configuration error" in captured.err and "is not a directory" in captured.err
+        assert "Traceback" not in captured.err
     assert taken.read_text(encoding="utf-8") == "not a directory\n"
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -233,15 +234,16 @@ def test_detectors_permutation_invariant():
 
 # ------------------------------------------------------------- invariants
 
-def _random_world(rng, params, n=6, box=None):
+def _random_world(rng, params, n=6, box=None, p_moving=0.8):
     """n agents anywhere in the arena, or packed into a ``box`` mm square at a
-    random corner, which may straddle the torus seam."""
+    random corner, which may straddle the torus seam; each moves with
+    probability ``p_moving``."""
     side = params.arena if box is None else box
     corner = np.zeros(2) if box is None else rng.uniform(0, params.arena, size=2)
     return snapshot(*(row(*((corner + (rng.uniform(0, side), rng.uniform(0, side)))
                             % params.arena),
                           rng.uniform(0, 2 * math.pi), speed=rng.uniform(10, 30),
-                          moving=bool(rng.random() < 0.8))
+                          moving=bool(rng.random() < p_moving))
                       for _ in range(n)))
 
 
@@ -316,3 +318,72 @@ def test_eye_azimuths_converge_to_eye_midpoint_azimuth():
                 diff = abs(geo.wrap_angle(eye_phi - mid_phi))
                 assert diff <= 0.06
                 assert diff <= d_eye / distance + 1e-12
+
+
+# -------------------------------------------------------------- pair culling
+
+FULLSCALE_THRESHOLDS = (0.1, 1.0, 4.0, 6.0, 32.0)
+
+
+def _culling_worlds(rng, params, count):
+    """Half spread over the arena, half packed into 8 mm across a random
+    corner, with about half of the agents stopped."""
+    for k in range(count):
+        yield _random_world(rng, params, n=int(rng.integers(2, 11)),
+                            box=8.0 if k % 2 else None, p_moving=0.5)
+
+
+def test_pair_culling_keeps_every_threshold_decision():
+    # culled at floor = min(T_grm, T_loom) against exact at floor 0: each
+    # signal sits on the same side of its threshold, and a signal >= floor
+    # is the same number with the same causes
+    rng = np.random.default_rng(29)
+    params = SimParams()
+    dropped = high = 0
+    for pos, heading, vel in _culling_worlds(rng, params, 40):
+        exact = per.world_summaries(pos, heading, vel, params)
+        for t_grm, t_loom in itertools.product(FULLSCALE_THRESHOLDS, repeat=2):
+            floor = min(t_grm, t_loom)
+            culled = per.world_summaries(pos, heading, vel, params, floor=floor)
+            dropped += int((per.kept_pairs(pos, vel, params)
+                            & ~per.kept_pairs(pos, vel, params, floor)).sum())
+            for signal, causes, threshold in (("max_grm", "grm_causes", t_grm),
+                                              ("omega_loom", "loom_causes", t_loom)):
+                want, got = getattr(exact, signal), getattr(culled, signal)
+                label = (signal, t_grm, t_loom)
+                assert np.array_equal(want > threshold, got > threshold), label
+                assert np.array_equal(want < threshold, got < threshold), label
+                kept = want >= floor
+                assert np.array_equal(kept, got >= floor), label
+                assert np.array_equal(want[kept], got[kept]), label
+                assert np.array_equal(getattr(exact, causes)[kept],
+                                      getattr(culled, causes)[kept]), label
+                high += int(kept.sum())
+    assert dropped > 0 and high > 0
+
+
+def test_culled_pairs_have_every_rate_below_floor():
+    # the scalar oracle's rate of every point of every dropped source; the
+    # widest fields leave no point unseen by both eyes
+    rng = np.random.default_rng(31)
+    params = SimParams(cva=math.pi / 2, ipsi_field=math.pi)
+    checked = 0
+    for world in _culling_worlds(rng, params, 30):
+        pos, _, vel = world
+        off_diagonal = ~np.eye(len(pos), dtype=bool)
+        for i in range(len(pos)):
+            percepts = project_points(i, *world, params)
+            for floor in FULLSCALE_THRESHOLDS:
+                dropped = off_diagonal[i] & ~per.kept_pairs(pos, vel, params, floor)[i]
+                rates = [abs(p.phi_dot) for p in percepts if dropped[p.source_agent]]
+                assert all(rate < floor for rate in rates), (i, floor, max(rates))
+                checked += len(rates)
+    assert checked > 0
+
+
+def test_kept_pairs_skip_only_zero_relative_velocity_at_floor_zero():
+    rng = np.random.default_rng(37)
+    params = SimParams()
+    for pos, _, vel in _culling_worlds(rng, params, 20):
+        moving_apart = (vel[None, :, :] != vel[:, None, :]).any(axis=-1)
+        assert np.array_equal(per.kept_pairs(pos, vel, params), moving_apart)
