@@ -81,10 +81,6 @@ class SimParams:
         return self
 
 
-def make_rng(seed) -> RngStream:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-
 def trial_streams(seed, n_agents: int) -> tuple[RngStream, list[RngStream]]:
     """Split a trial seed into an init stream plus one stream per agent."""
     children = np.random.SeedSequence(seed).spawn(n_agents + 1)

@@ -117,7 +117,8 @@ def step(world: WorldState, rngs: list[RngStream]) -> tuple[WorldState, StepEven
         grm_hit = summary.max_grm[i] > params.t_grm
         loom_hit = summary.omega_loom[i] > params.t_loom
         channel = "both" if (grm_hit and loom_hit) else ("GRM" if grm_hit else "LOOM")
-        causes = (grm_hit & summary.grm_causes[i]) | (loom_hit & summary.loom_causes[i])
+        by_grm, by_loom = summary.causes(i)
+        causes = (grm_hit & by_grm) | (loom_hit & by_loom)
         events.stops.append(StopRecord(
             t=t, agent=i, cause_agents=frozenset(np.flatnonzero(causes).tolist()),
             channel=channel, frozen_velocities=vel, frozen_positions=world.pos))

@@ -65,6 +65,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out_file(path: Path) -> None:
+    """Reject an output file path that cannot be written, before any work."""
+    if path.is_dir():
+        raise ConfigError(f"--out {path} is a directory")
+    if not path.parent.is_dir():
+        raise ConfigError(f"--out {path}: {path.parent} is not a directory")
+
+
 def _load_config(path) -> HarnessConfig:
     if path is None:
         return HarnessConfig(params=SimParams(), grid=None)
@@ -96,8 +104,7 @@ def _cmd_sweep(args) -> int:
     if cfg.grid is None:
         raise ConfigError(f"{args.config}: sweep requires grid keys "
                           "(cva_values_deg, t_grm_values, t_loom_values)")
-    if not args.out.parent.is_dir():
-        raise ConfigError(f"--out {args.out}: {args.out.parent} is not a directory")
+    _check_out_file(args.out)
     grid = cfg.grid
     if args.trials is not None:
         grid = replace(grid, trials_per_cell=args.trials)
@@ -116,8 +123,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.out is not None and not args.out.parent.is_dir():
-        raise ConfigError(f"--out {args.out}: {args.out.parent} is not a directory")
+    if args.out is not None:
+        _check_out_file(args.out)
     report = verify_mod.verify_theorems(
         sample_count=args.samples, seed=args.seed, report_path=args.out)
     sys.stdout.write(report.render())
@@ -125,6 +132,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    _check_out_file(args.out)
     try:
         table = sweep_mod.parse_csv(args.csv)
     except (OSError, ValueError) as exc:

@@ -73,6 +73,7 @@ def _parse_list(key: str, raw: str) -> tuple[float, ...]:
 def parse_config_text(text: str, origin: str = "<config>") -> HarnessConfig:
     params_kwargs = {}
     grid_kwargs = {}
+    key_lines: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -80,6 +81,9 @@ def parse_config_text(text: str, origin: str = "<config>") -> HarnessConfig:
         if "=" not in body:
             raise ConfigError(f"{origin}:{lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in body.split("=", 1))
+        if key in key_lines:
+            raise ConfigError(f"{origin}:{lineno}: key {key!r} repeats line {key_lines[key]}")
+        key_lines[key] = lineno
         if key in _PARAM_KEYS:
             field, kind = _PARAM_KEYS[key]
             params_kwargs[field] = _parse_scalar(key, raw, kind)

@@ -55,6 +55,10 @@ class SweepGrid:
         values = self.cva_values_deg + self.t_grm_values + self.t_loom_values
         if not all(math.isfinite(v) for v in values):
             raise ValueError("sweep values must be finite")
+        for name in ("cva_values_deg", "t_grm_values", "t_loom_values"):
+            listed = getattr(self, name)
+            if len(set(listed)) < len(listed):
+                raise ValueError(f"{name} repeats a value")
         if not all(0.0 <= v <= 90.0 for v in self.cva_values_deg):
             raise ValueError("cva_values_deg must lie in [0, 90]")
         if min(self.t_grm_values + self.t_loom_values) < 0.0:

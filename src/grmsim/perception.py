@@ -11,8 +11,9 @@ the points inside that eye's visual field, and reads two signals off them:
   hemifields, a point's hemifield being the side of the observer's spine
   it lies on, so only bilaterally expanding stimuli register.
 
-Both signals come with the set of agents that caused them.  The whole world
-is processed at once as arrays indexed by agent row.
+The whole world is processed at once as arrays indexed by agent row, and
+each observer's strongest rate from each source is kept, so the agents
+that caused a signal can be read off for the observers that stop.
 
 Only the (observer, source) pairs that can matter are evaluated.  A body
 moves rigidly, so every point of a source, seen from either eye, has
@@ -60,25 +61,31 @@ CAUSE_REL_TOL = 1e-12
 class PerceptSummary:
     """Per-step reduction of all percepts; row i belongs to observer i.
 
-    ``grm_causes[i, j]`` is true when source j produced observer i's
-    strongest GRM, ``loom_causes[i, j]`` when it produced either side's
-    strongest outward motion.  A zero signal has no causes.
+    ``by_source[c, i, j]`` is the strongest rate of source j seen by
+    observer i on channel c: GRM, outward motion in the left body hemifield
+    (counter-clockwise) and outward motion in the right one (clockwise).
     """
 
-    max_grm: np.ndarray      # (n,)
-    grm_causes: np.ndarray   # (n, n) bool
-    omega_loom: np.ndarray   # (n,)
-    loom_causes: np.ndarray  # (n, n) bool
+    max_grm: np.ndarray     # (n,)
+    omega_loom: np.ndarray  # (n,)
+    by_source: np.ndarray   # (3, n, n)
+
+    def causes(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Observer i's (GRM, looming) cause masks over the sources.
+
+        A source causes a channel's positive maximum when its rate is within
+        the relative tolerance of it; looming causes are those of either
+        side's strongest outward motion.  A zero signal has no causes.
+        """
+        rates = self.by_source[:, i]
+        best = rates.max(axis=1)[:, None]
+        hit = (rates >= best * (1.0 - CAUSE_REL_TOL)) & (best > 0.0)
+        return hit[0], (hit[1] | hit[2]) & (self.omega_loom[i] > 0.0)
 
 
 def eye_offsets(d_eye: float) -> np.ndarray:
     """Body-frame eye positions, rows (left, right)."""
     return np.array([(-d_eye / 2.0, EYE_FORWARD), (d_eye / 2.0, EYE_FORWARD)])
-
-
-def _causes(by_source: np.ndarray, best: np.ndarray) -> np.ndarray:
-    """Sources within the relative tolerance of each row's positive maximum."""
-    return (by_source >= (best * (1.0 - CAUSE_REL_TOL))[:, None]) & (best > 0.0)[:, None]
 
 
 @functools.lru_cache(maxsize=None)
@@ -131,9 +138,7 @@ def world_summaries(pos: np.ndarray, heading: np.ndarray, vel: np.ndarray,
     exact.
     """
     n = len(pos)
-    grm_by_source = np.zeros((n, n))
-    ccw_by_source = np.zeros((n, n))
-    cw_by_source = np.zeros((n, n))
+    by_source = np.zeros((3, n, n))
     ii, jj = np.nonzero(kept_pairs(pos, vel, params, floor))
     if len(ii):
         ca = np.cos(heading - math.pi / 2.0)
@@ -165,24 +170,17 @@ def world_summaries(pos: np.ndarray, heading: np.ndarray, vel: np.ndarray,
         rate = np.divide(rvy * dx - rvx * dy, d2, out=np.zeros_like(d2), where=seen)
 
         # left eye (index 0) reads clockwise, right eye (index 1) counter-clockwise
-        grm_by_source[ii, jj] = np.maximum(
-            np.maximum(-rate[:, 0], rate[:, 1]).max(axis=1), 0.0)
+        grm = np.maximum(-rate[:, 0], rate[:, 1]).max(axis=1)
 
         # hemifield: side of the observer's spine, by the lateral body-frame
         # coordinate of the point about the body center; 0 is neither side
         bdx = min_image_delta(pos[ii, 0, None], px[jj], params.arena)
         bdy = min_image_delta(pos[ii, 1, None], py[jj], params.arena)
         lateral = (ca[ii, None] * bdx + sa[ii, None] * bdy)[:, None]  # right > 0
-        ccw_by_source[ii, jj] = np.maximum(
-            np.where(lateral < 0.0, rate, 0.0).max(axis=(1, 2)), 0.0)
-        cw_by_source[ii, jj] = np.maximum(
-            np.where(lateral > 0.0, -rate, 0.0).max(axis=(1, 2)), 0.0)
+        ccw = np.where(lateral < 0.0, rate, 0.0).max(axis=(1, 2))
+        cw = np.where(lateral > 0.0, -rate, 0.0).max(axis=(1, 2))
+        by_source[:, ii, jj] = np.maximum((grm, ccw, cw), 0.0)
 
-    best_grm = grm_by_source.max(axis=1)
-    best_ccw = ccw_by_source.max(axis=1)
-    best_cw = cw_by_source.max(axis=1)
-    bilateral = (best_ccw > 0.0) & (best_cw > 0.0)
-    omega = np.where(bilateral, np.minimum(best_ccw, best_cw), 0.0)
-    loom_causes = (_causes(ccw_by_source, best_ccw) | _causes(cw_by_source, best_cw)) \
-        & bilateral[:, None]
-    return PerceptSummary(best_grm, _causes(grm_by_source, best_grm), omega, loom_causes)
+    best = by_source.max(axis=2)
+    # looming is 0 unless both sides see outward motion
+    return PerceptSummary(best[0], np.minimum(best[1], best[2]), by_source)

@@ -122,7 +122,6 @@ def summarize(percepts) -> tuple[float, frozenset[int], float, frozenset[int]]:
 
 def kernel_row(summary, i) -> tuple[float, frozenset[int], float, frozenset[int]]:
     """Observer ``i``'s entry of a ``world_summaries`` result, in ``summarize`` form."""
-    return (float(summary.max_grm[i]),
-            frozenset(np.flatnonzero(summary.grm_causes[i]).tolist()),
-            float(summary.omega_loom[i]),
-            frozenset(np.flatnonzero(summary.loom_causes[i]).tolist()))
+    grm_causes, loom_causes = summary.causes(i)
+    return (float(summary.max_grm[i]), frozenset(np.flatnonzero(grm_causes).tolist()),
+            float(summary.omega_loom[i]), frozenset(np.flatnonzero(loom_causes).tolist()))

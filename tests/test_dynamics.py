@@ -55,7 +55,7 @@ def test_params_reject_non_finite(field, value):
 
 def test_init_agents_no_overlap_and_ranges():
     params = SimParams()
-    pos, heading, speed = dyn.init_agents(params, dyn.make_rng(0))
+    pos, heading, speed = dyn.init_agents(params, np.random.default_rng(0))
     assert pos.shape == (10, 2) and heading.shape == speed.shape == (10,)
     assert np.all((params.v_min <= speed) & (speed <= params.v_max))
     assert np.all((0 <= heading) & (heading < 2 * math.pi))
@@ -67,14 +67,14 @@ def test_init_agents_no_overlap_and_ranges():
 
 
 def test_init_agents_single():
-    pos, heading, speed = dyn.init_agents(SimParams(n_agents=1), dyn.make_rng(3))
+    pos, heading, speed = dyn.init_agents(SimParams(n_agents=1), np.random.default_rng(3))
     assert pos.shape == (1, 2) and heading.shape == speed.shape == (1,)
 
 
 def test_init_agents_deterministic():
     params = SimParams()
-    a = dyn.init_agents(params, dyn.make_rng(99))
-    b = dyn.init_agents(params, dyn.make_rng(99))
+    a = dyn.init_agents(params, np.random.default_rng(99))
+    b = dyn.init_agents(params, np.random.default_rng(99))
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
 
@@ -82,8 +82,8 @@ def test_init_agents_deterministic():
 def test_init_agents_draw_order():
     # positions first, one candidate pair each, then all speeds, then headings
     params = SimParams(n_agents=3, arena=1e6)  # no redraws in a huge arena
-    pos, heading, speed = dyn.init_agents(params, dyn.make_rng(8))
-    rng = dyn.make_rng(8)
+    pos, heading, speed = dyn.init_agents(params, np.random.default_rng(8))
+    rng = np.random.default_rng(8)
     expected_pos = [rng.uniform(0.0, params.arena, size=2) for _ in range(3)]
     assert np.array_equal(pos, expected_pos)
     assert np.array_equal(speed, rng.uniform(params.v_min, params.v_max, size=3))
@@ -93,7 +93,7 @@ def test_init_agents_draw_order():
 def test_init_agents_crowded_arena_fails():
     params = SimParams(n_agents=60, arena=8.0, collision_distance=1.2)
     with pytest.raises(RuntimeError):
-        dyn.init_agents(params, dyn.make_rng(0))
+        dyn.init_agents(params, np.random.default_rng(0))
 
 
 def test_trial_streams_independent_and_deterministic():
@@ -135,11 +135,11 @@ def test_control_threshold_boundary_is_strict():
 def test_control_flips_one_coin_per_stopped_agent():
     # walking agents draw nothing; each stopped agent draws once, alarm or not
     params = SimParams(t_grm=6.0, t_loom=32.0, p_restart=0.5)
-    rngs = [dyn.make_rng(k) for k in range(4)]
+    rngs = [np.random.default_rng(k) for k in range(4)]
     moving = np.array([True, False, False, True])
     dyn.control_step(moving, np.array([0.0, 7.0, 0.0, 7.0]), np.zeros(4), params, rngs)
     after = [r.random() for r in rngs]
-    fresh = [dyn.make_rng(k) for k in range(4)]
+    fresh = [np.random.default_rng(k) for k in range(4)]
     for r in fresh[1:3]:
         r.random()
     assert after == [r.random() for r in fresh]
@@ -149,7 +149,8 @@ def test_control_flips_one_coin_per_stopped_agent():
 
 def test_first_stop_keeps_heading_and_jumps_sigma():
     params = SimParams()
-    heading = dyn.reorient_on_stop(np.array([1.234]), np.zeros(1), STOPPING, [dyn.make_rng(5)])
+    heading = dyn.reorient_on_stop(np.array([1.234]), np.zeros(1), STOPPING,
+                                   [np.random.default_rng(5)])
     sigma = dyn.decay_sigma(np.zeros(1), STOPPING, params)
     assert heading[0] == pytest.approx(1.234)  # zero-variance draw
     assert sigma[0] == pytest.approx(math.radians(30))
@@ -187,20 +188,20 @@ def test_reorientation_draw_uses_pre_update_sigma():
     sigma0 = math.radians(45)
     # replicate the draw with an identical stream: one normal(heading, sigma0)
     heading = dyn.reorient_on_stop(np.array([2.0]), np.array([sigma0]), STOPPING,
-                                   [dyn.make_rng(77)])
-    expected = dyn.make_rng(77).normal(2.0, sigma0) % (2 * math.pi)
+                                   [np.random.default_rng(77)])
+    expected = np.random.default_rng(77).normal(2.0, sigma0) % (2 * math.pi)
     assert heading[0] == expected
 
 
 def test_reorientation_only_touches_stopping_rows():
     heading = np.array([0.5, 1.0, 1.5])
     stopping = np.array([False, True, False])
-    rngs = [dyn.make_rng(k) for k in range(3)]
+    rngs = [np.random.default_rng(k) for k in range(3)]
     new = dyn.reorient_on_stop(heading, np.full(3, 0.3), stopping, rngs)
     assert new[0] == 0.5 and new[2] == 1.5 and new[1] != 1.0
     assert np.array_equal(heading, [0.5, 1.0, 1.5])  # input left untouched
     # rows that did not stop kept their streams untouched
-    assert rngs[0].random() == dyn.make_rng(0).random()
+    assert rngs[0].random() == np.random.default_rng(0).random()
 
 
 # ------------------------------------------------------------------ advance

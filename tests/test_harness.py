@@ -69,6 +69,11 @@ def test_unknown_key_rejected():
         config.parse_config_text("workers = 2\n")
 
 
+def test_repeated_key_rejected_naming_both_lines():
+    with pytest.raises(ConfigError, match=r"<config>:4: key 'T_grm' repeats line 2"):
+        config.parse_config_text("N = 4\nT_grm = 6\n\nT_grm = 4\n")
+
+
 def test_bad_value_rejected():
     with pytest.raises(ConfigError, match="bad value"):
         config.parse_config_text("dt = fast\n")
@@ -92,6 +97,8 @@ BAD_CONFIGS = {
     "nan grm grid value": GRID_KEYS.replace("t_grm_values = 4", "t_grm_values = nan"),
     "infinite loom grid value": GRID_KEYS.replace("= 32", "= inf"),
     "negative threshold grid value": GRID_KEYS.replace("= 4", "= -1"),
+    "repeated grid value": GRID_KEYS.replace("= 30", "= 30, 30"),
+    "repeated key": "T_grm = 6\nT_grm = 4\n",
     "zero workers": "workers = 0\n",
     "workers key": "workers = 2\n",
 }
@@ -119,6 +126,10 @@ def test_sweep_rejects_bad_grid_and_workers():
         run_sweep(replace(GRID_1, t_grm_values=(math.nan,)), TINY)
     with pytest.raises(ValueError, match=r"\[0, 90\]"):
         run_sweep(replace(GRID_1, cva_values_deg=(100.0,)), TINY)
+    # one (cell, trial) would get two rows with different seeds
+    for name in ("cva_values_deg", "t_grm_values", "t_loom_values"):
+        with pytest.raises(ValueError, match=f"{name} repeats a value"):
+            run_sweep(replace(GRID_1, **{name: 2 * getattr(GRID_1, name)}), TINY)
     with pytest.raises(ValueError, match="worker"):
         run_sweep(GRID_1, TINY, workers=0)
 
@@ -499,6 +510,22 @@ def test_cli_verify_out_into_missing_directory_exits_2(tmp_path, capsys, monkeyp
     assert len(err.splitlines()) == 1 and str(out) in err
     assert "configuration error" in err and "is not a directory" in err
     assert "Traceback" not in err and not out.exists()
+
+
+def test_cli_out_naming_a_directory_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started despite an unwritable --out")
+    monkeypatch.setattr(cli.sweep_mod, "run_sweep", no_work)
+    monkeypatch.setattr(cli.sweep_mod, "parse_csv", no_work)
+    monkeypatch.setattr(cli.verify_mod, "verify_theorems", no_work)
+    cfg = str(write_config(tmp_path))
+    for argv in (["sweep", "--config", cfg, "--out", str(tmp_path)],
+                 ["verify", "--samples", "10", "--out", str(tmp_path)],
+                 ["plot", str(tmp_path / "sweep.csv"), "--out", str(tmp_path)]):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, argv
+        assert "configuration error" in err and "is a directory" in err, argv
 
 
 def test_cli_simulate_out_on_a_regular_file_exits_2(tmp_path, capsys, monkeypatch):

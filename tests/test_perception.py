@@ -294,9 +294,11 @@ def test_summary_invariants_on_random_worlds():
     for _ in range(20):
         s = per.world_summaries(*_random_world(rng, params), params)
         assert np.all(s.max_grm >= 0) and np.all(s.omega_loom >= 0)
-        assert np.array_equal(s.max_grm == 0, ~s.grm_causes.any(axis=1))
-        assert np.array_equal(s.omega_loom == 0, ~s.loom_causes.any(axis=1))
-        assert not s.grm_causes.diagonal().any() and not s.loom_causes.diagonal().any()
+        for i in range(len(s.max_grm)):
+            grm_causes, loom_causes = s.causes(i)
+            assert (s.max_grm[i] == 0) == (not grm_causes.any())
+            assert (s.omega_loom[i] == 0) == (not loom_causes.any())
+            assert not grm_causes[i] and not loom_causes[i]
 
 
 def test_eye_azimuths_converge_to_eye_midpoint_azimuth():
@@ -342,13 +344,15 @@ def test_pair_culling_keeps_every_threshold_decision():
     dropped = high = 0
     for pos, heading, vel in _culling_worlds(rng, params, 40):
         exact = per.world_summaries(pos, heading, vel, params)
+        exact_causes = [exact.causes(i) for i in range(len(pos))]
         for t_grm, t_loom in itertools.product(FULLSCALE_THRESHOLDS, repeat=2):
             floor = min(t_grm, t_loom)
             culled = per.world_summaries(pos, heading, vel, params, floor=floor)
+            culled_causes = [culled.causes(i) for i in range(len(pos))]
             dropped += int((per.kept_pairs(pos, vel, params)
                             & ~per.kept_pairs(pos, vel, params, floor)).sum())
-            for signal, causes, threshold in (("max_grm", "grm_causes", t_grm),
-                                              ("omega_loom", "loom_causes", t_loom)):
+            for signal, channel, threshold in (("max_grm", 0, t_grm),
+                                               ("omega_loom", 1, t_loom)):
                 want, got = getattr(exact, signal), getattr(culled, signal)
                 label = (signal, t_grm, t_loom)
                 assert np.array_equal(want > threshold, got > threshold), label
@@ -356,8 +360,9 @@ def test_pair_culling_keeps_every_threshold_decision():
                 kept = want >= floor
                 assert np.array_equal(kept, got >= floor), label
                 assert np.array_equal(want[kept], got[kept]), label
-                assert np.array_equal(getattr(exact, causes)[kept],
-                                      getattr(culled, causes)[kept]), label
+                for i in np.flatnonzero(kept):
+                    assert np.array_equal(exact_causes[i][channel],
+                                          culled_causes[i][channel]), (label, i)
                 high += int(kept.sum())
     assert dropped > 0 and high > 0
 
