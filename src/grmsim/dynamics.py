@@ -118,20 +118,25 @@ def init_agents(params: SimParams, rng: RngStream
     return pos, heading, speed
 
 
-def control_step(moving: np.ndarray, max_grm: np.ndarray, omega_loom: np.ndarray,
-                 params: SimParams, rngs: list[RngStream]) -> np.ndarray:
-    """Next walk flags given this step's percept signals.
-
-    A walking agent stops iff its strongest GRM or its looming strength
-    exceeds the threshold.  Every stopped agent flips a coin every step, in
-    row order, and restarts only when the coin succeeds and both signals are
-    strictly below threshold.
-    """
-    alarm = (max_grm > params.t_grm) | (omega_loom > params.t_loom)
-    quiet = (max_grm < params.t_grm) & (omega_loom < params.t_loom)
+def restart_coins(moving: np.ndarray, params: SimParams, rngs: list[RngStream]) -> np.ndarray:
+    """This step's lucky agents: every stopped agent flips one coin, in row
+    order, and is lucky when it lands below ``p_restart``; walkers draw nothing."""
     lucky = np.zeros_like(moving)
     for i in np.flatnonzero(~moving):
         lucky[i] = rngs[i].random() < params.p_restart
+    return lucky
+
+
+def control_step(moving: np.ndarray, max_grm: np.ndarray, omega_loom: np.ndarray,
+                 params: SimParams, lucky: np.ndarray) -> np.ndarray:
+    """Next walk flags given this step's percept signals and restart coins.
+
+    A walking agent stops iff its strongest GRM or its looming strength
+    exceeds the threshold.  A stopped agent restarts only when it is
+    ``lucky`` (``restart_coins``) and both signals are strictly below threshold.
+    """
+    alarm = (max_grm > params.t_grm) | (omega_loom > params.t_loom)
+    quiet = (max_grm < params.t_grm) & (omega_loom < params.t_loom)
     return np.where(moving, ~alarm, quiet & lucky)
 
 
@@ -159,13 +164,15 @@ def decay_sigma(sigma: np.ndarray, stopping: np.ndarray,
 
 def velocity(heading: np.ndarray, speed: np.ndarray, moving: np.ndarray) -> np.ndarray:
     """World-frame velocities, (n, 2); exactly zero for stopped agents."""
-    unit = np.stack((np.cos(heading), np.sin(heading)), axis=1)
+    unit = np.array((np.cos(heading), np.sin(heading))).T
     return np.where(moving[:, None], speed[:, None] * unit, 0.0)
 
 
 def advance(pos: np.ndarray, heading: np.ndarray, speed: np.ndarray,
-            moving: np.ndarray, params: SimParams) -> np.ndarray:
-    """New wrapped positions after one time step at the current walk flags."""
+            moving: np.ndarray, params: SimParams) -> tuple[np.ndarray, np.ndarray]:
+    """New wrapped positions after one time step at the current walk flags, and
+    ``velocity(heading, speed, moving)``, both from one heading unit vector."""
     step = moving * speed * params.dt
-    unit = np.stack((np.cos(heading), np.sin(heading)), axis=1)
-    return wrap_torus(pos + step[:, None] * unit, params.arena)
+    unit = np.array((np.cos(heading), np.sin(heading))).T
+    vel = np.where(moving[:, None], speed[:, None] * unit, 0.0)
+    return wrap_torus(pos + step[:, None] * unit, params.arena), vel

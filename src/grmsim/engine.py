@@ -1,13 +1,14 @@
 """Synchronous world stepping and full-trial execution.
 
-The world is a struct of arrays with one row per agent; the row index is
-the agent id.  One step: compute every agent's percept summary from the
-frozen snapshot, apply the walk/stop control, reorient agents that just
-stopped, advance everyone, then detect collisions and encounter transitions
-on the new positions.  Stop records keep the snapshot's position and
-velocity arrays, because classification later needs the state "at the
-moment of the stop"; a step therefore always builds new arrays and never
-writes into old ones.
+The world is a struct of arrays with one row per agent, the row index being
+the agent id, and carries its velocities and centre displacements.  One
+step: flip the stopped agents' restart coins, compute the walking and lucky
+agents' percept summaries from the frozen snapshot, apply the walk/stop
+control, reorient agents that just stopped, advance everyone, then detect
+collisions and encounter transitions on the new positions.  Stop records
+keep the snapshot's position and velocity arrays, because classification
+later needs the state "at the moment of the stop"; a step therefore always
+builds new arrays and never writes into old ones.
 
 Everything is deterministic in (params, seed): each agent consumes
 randomness only from its own stream.
@@ -15,13 +16,14 @@ randomness only from its own stream.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import analysis, dynamics, perception
 from .dynamics import RngStream, SimParams
-from .geometry import min_image_delta
+from .geometry import pair_deltas
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,16 +79,25 @@ class WorldState:
     params: SimParams
     contact: np.ndarray  # (n, n) bool
     t_enter: np.ndarray  # (n, n) int
+    vel: np.ndarray      # (n, 2), dynamics.velocity(heading, speed, moving)
+    centre: np.ndarray   # (n, n, 2), geometry.pair_deltas(pos, arena)
 
 
 def make_world(pos, heading, speed, params: SimParams, moving=True) -> WorldState:
     """Step-0 world from per-agent rows; ``moving`` may be one flag for all."""
-    pos = np.array(pos, dtype=float)
+    pos, heading, speed = (np.array(a, dtype=float) for a in (pos, heading, speed))
     n = len(pos)
-    return WorldState(
-        0, pos, np.array(heading, dtype=float), np.array(speed, dtype=float),
-        np.broadcast_to(np.asarray(moving, dtype=bool), n).copy(), np.zeros(n),
-        params, np.zeros((n, n), dtype=bool), np.full((n, n), -1))
+    moving = np.broadcast_to(np.asarray(moving, dtype=bool), n).copy()
+    return WorldState(0, pos, heading, speed, moving, np.zeros(n), params,
+                      np.zeros((n, n), dtype=bool), np.full((n, n), -1),
+                      dynamics.velocity(heading, speed, moving),
+                      pair_deltas(pos, params.arena))
+
+
+@functools.lru_cache(maxsize=None)
+def _upper(n: int) -> np.ndarray:
+    """Read-only (n, n) mask of the pairs i < j (``broadcast_to`` views are read-only)."""
+    return np.broadcast_to(np.triu(np.ones((n, n), dtype=bool), k=1), (n, n))
 
 
 def _pairs(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -99,18 +110,19 @@ def step(world: WorldState, rngs: list[RngStream]) -> tuple[WorldState, StepEven
     """Advance the world one time step; returns the new world and its events."""
     params = world.params
     t = world.time_step
-    vel = dynamics.velocity(world.heading, world.speed, world.moving)
-    # a rate below both thresholds changes no decision, so pairs that cannot
-    # reach the lower one are skipped
-    summary = perception.world_summaries(world.pos, world.heading, vel, params,
-                                         floor=min(params.t_grm, params.t_loom))
+    # an unlucky stopped agent stays stopped whatever it sees, and a rate below
+    # both thresholds changes no decision, so neither is evaluated
+    lucky = dynamics.restart_coins(world.moving, params, rngs)
+    summary = perception.world_summaries(
+        world.pos, world.heading, world.vel, params, floor=min(params.t_grm, params.t_loom),
+        observers=world.moving | lucky, centre=world.centre)
 
     moving = dynamics.control_step(
-        world.moving, summary.max_grm, summary.omega_loom, params, rngs)
+        world.moving, summary.max_grm, summary.omega_loom, params, lucky)
     stopping = world.moving & ~moving
     heading = dynamics.reorient_on_stop(world.heading, world.sigma, stopping, rngs)
     sigma = dynamics.decay_sigma(world.sigma, stopping, params)
-    pos = dynamics.advance(world.pos, heading, world.speed, moving, params)
+    pos, vel = dynamics.advance(world.pos, heading, world.speed, moving, params)
 
     events = StepEvents()
     for i in np.flatnonzero(stopping).tolist():
@@ -121,11 +133,11 @@ def step(world: WorldState, rngs: list[RngStream]) -> tuple[WorldState, StepEven
         causes = (grm_hit & by_grm) | (loom_hit & by_loom)
         events.stops.append(StopRecord(
             t=t, agent=i, cause_agents=frozenset(np.flatnonzero(causes).tolist()),
-            channel=channel, frozen_velocities=vel, frozen_positions=world.pos))
+            channel=channel, frozen_velocities=world.vel, frozen_positions=world.pos))
 
-    delta = min_image_delta(pos[:, None, :], pos[None, :, :], params.arena)
-    dist2 = (delta ** 2).sum(axis=-1)
-    upper = np.triu(np.ones(dist2.shape, dtype=bool), k=1)
+    centre = pair_deltas(pos, params.arena)
+    dist2 = (centre ** 2).sum(axis=-1)
+    upper = _upper(len(pos))
 
     # collision detection with per-episode debouncing
     contact = upper & (dist2 < params.collision_distance ** 2)
@@ -140,7 +152,7 @@ def step(world: WorldState, rngs: list[RngStream]) -> tuple[WorldState, StepEven
     t_enter = np.where(seen, np.where(was_open, world.t_enter, t + 1), -1)
 
     new_world = WorldState(t + 1, pos, heading, world.speed, moving, sigma, params,
-                           contact, t_enter)
+                           contact, t_enter, vel, centre)
     return new_world, events
 
 

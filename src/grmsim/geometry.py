@@ -42,9 +42,17 @@ def min_image_delta(a, b, side: float) -> np.ndarray:
     """
     if side <= 0:
         raise ValueError("arena side must be positive")
-    delta = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
-    half = 0.5 * side
-    return np.mod(delta + half, side) - half
+    return _min_image(np.asarray(b, dtype=float) - np.asarray(a, dtype=float), side)
+
+
+def _min_image(delta: np.ndarray, side: float) -> np.ndarray:
+    """Minimum image of float displacements, unchecked, for the hot paths."""
+    return np.mod(delta + 0.5 * side, side) - 0.5 * side
+
+
+def pair_deltas(pos: np.ndarray, side: float) -> np.ndarray:
+    """(n, n, 2) minimum-image displacements pos[j] - pos[i] at row i, column j."""
+    return _min_image(pos[None, :, :] - pos[:, None, :], side)
 
 
 def azimuth(rel_pos, heading: float) -> float:

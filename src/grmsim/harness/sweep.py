@@ -154,7 +154,9 @@ def run_sweep(grid: SweepGrid, params: SimParams,
             tasks.append((params, cva_deg, t_grm, t_loom, trial, seed))
 
     if workers is None:
-        workers = os.cpu_count() or 1
+        # the CPUs this process may run on, which taskset or a cgroup can limit
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
     if workers < 1:
         raise ValueError("need at least one worker")
     workers = min(workers, len(tasks))
@@ -200,7 +202,11 @@ def emit_csv(table: SweepTable, path) -> Path:
 
 
 def parse_csv(path) -> SweepTable:
-    """Read a sweep CSV back; undefined metrics stay None."""
+    """Read a sweep CSV back; undefined metrics stay None.
+
+    A second row for one (cell, trial) is rejected: it would count that
+    trial twice in the aggregates.
+    """
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -208,13 +214,17 @@ def parse_csv(path) -> SweepTable:
         raise OSError(f"cannot read sweep CSV from {path}: {exc}") from exc
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: not a sweep CSV (bad header)")
-    rows = []
+    rows, seen = [], set()
     for line in lines[1:]:
         if not line:
             continue
         f = line.split(",")
         if len(f) != 11:
             raise ValueError(f"{path}: malformed row {line!r}")
+        key = (float(f[0]), float(f[1]), float(f[2]), int(f[3]))
+        if key in seen:
+            raise ValueError(f"{path}: duplicate (cell, trial) row {line!r}")
+        seen.add(key)
         rows.append(SweepRow(
             cva_deg=float(f[0]), t_grm=float(f[1]), t_loom=float(f[2]),
             trial=int(f[3]), seed=int(f[4]),

@@ -11,9 +11,11 @@ the points inside that eye's visual field, and reads two signals off them:
   hemifields, a point's hemifield being the side of the observer's spine
   it lies on, so only bilaterally expanding stimuli register.
 
-The whole world is processed at once as arrays indexed by agent row, and
-each observer's strongest rate from each source is kept, so the agents
-that caused a signal can be read off for the observers that stop.
+The whole world is processed at once as arrays indexed by agent row, with
+(x, y) stacked on the last axis and rotated by one expression that is bitwise
+the per-axis one (see ``world_summaries``).  Each observer's strongest rate
+from each source is kept, so the agents that caused a signal can be read off
+for the observers that stop.
 
 Only the (observer, source) pairs that can matter are evaluated.  A body
 moves rigidly, so every point of a source, seen from either eye, has
@@ -22,7 +24,8 @@ centers and r the largest body-point radius plus the largest eye radius.
 Pairs whose bound lies safely below a ``floor``, and pairs at zero relative
 velocity, are skipped.  Every signal at or above the floor, and its causes,
 is then exact, and every signal below it stays below it; the engine passes
-min(T_grm, T_loom), so no stop or restart decision changes.
+min(T_grm, T_loom), so no stop or restart decision changes.  Rows outside
+``observers`` are 0; the engine lists every agent whose walk flag may change.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SimParams
-from .geometry import min_image_delta
+from .geometry import _min_image, pair_deltas
 
 # Body outline in the body frame (+y is the heading), mm.  Length 2, max
 # width 0.9, left/right symmetric, with two midline points on the spine.
@@ -89,21 +92,26 @@ def eye_offsets(d_eye: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _reach(d_eye: float) -> float:
-    """Largest body-point radius plus largest eye radius, mm."""
-    return float(np.hypot(*BODY_OUTLINE.T).max() + np.hypot(*eye_offsets(d_eye).T).max())
+def _body(d_eye: float, cva: float, ipsi_field: float):
+    """Read-only: (16, 2) body-frame points (outline, then eyes), r (largest body-point
+    plus largest eye radius, mm), and the eyes' lower and upper field bounds."""
+    frame = np.concatenate((BODY_OUTLINE, eye_offsets(d_eye)))
+    radius = np.hypot(frame[:, 0], frame[:, 1])
+    bounds = np.array([[[-cva], [-ipsi_field]], [[ipsi_field], [cva]]])
+    frame.flags.writeable = bounds.flags.writeable = False
+    return frame, float(radius[:-2].max() + radius[-2:].max()), bounds[0], bounds[1]
 
 
 def kept_pairs(pos: np.ndarray, vel: np.ndarray, params: SimParams,
-               floor: float = 0.0) -> np.ndarray:
+               floor: float = 0.0, centre: np.ndarray | None = None) -> np.ndarray:
     """(n, n) mask of the (observer, source) pairs whose rates may reach ``floor``.
 
     A pair is dropped when its bound v / (c - r) on every point's rate (see
     ``world_summaries``) is safely below ``floor``, and always when its
     relative speed v is 0: its rates are then exactly 0.  Self pairs are
-    among those.
+    among those.  ``centre``, if given, is ``pair_deltas(pos, arena)``.
     """
-    centre = min_image_delta(pos[:, None, :], pos[None, :, :], params.arena)
+    centre = pair_deltas(pos, params.arena) if centre is None else centre
     rel = vel[None, :, :] - vel[:, None, :]
     v = np.hypot(rel[..., 0], rel[..., 1])
     # The margins make a dropped pair's rates provably smaller than floor.
@@ -112,71 +120,71 @@ def kept_pairs(pos: np.ndarray, vel: np.ndarray, params: SimParams,
     # covers the few-ulp rounding of the rate and of the bound, and also
     # CAUSE_REL_TOL, so a dropped source can neither carry a signal >= floor
     # nor tie with one as a cause.
-    gap = np.hypot(centre[..., 0], centre[..., 1]) - (_reach(params.d_eye)
-                                                      + 1e-9 * params.arena)
+    reach = _body(params.d_eye, params.cva, params.ipsi_field)[1]
+    gap = np.hypot(centre[..., 0], centre[..., 1]) - (reach + 1e-9 * params.arena)
     return (v > 0.0) & (v >= floor * (1.0 - 1e-9) * gap)
 
 
 def world_summaries(pos: np.ndarray, heading: np.ndarray, vel: np.ndarray,
-                    params: SimParams, *, floor: float = 0.0) -> PerceptSummary:
+                    params: SimParams, *, floor: float = 0.0,
+                    observers: np.ndarray | None = None,
+                    centre: np.ndarray | None = None) -> PerceptSummary:
     """Percept summary for every agent against one frozen snapshot.
 
     ``pos`` and ``vel`` are (n, 2), ``heading`` is (n,); row i is agent i.
     An observer sees neither its own body nor a point on an eye center.
+    Rows outside the (n,) ``observers`` mask, if given, are 0.  ``centre``,
+    if given, is ``pair_deltas(pos, arena)``.
 
     Only the pairs that ``kept_pairs`` keeps are evaluated.  Seen from either
     eye of observer i, a point of source j is at least c - r away on the
-    torus, c being the distance of their centers and r the largest
-    body-point radius plus the largest eye radius, and it moves at their
-    relative speed v, since bodies translate rigidly within a step; so its
-    rate obeys |phi_dot| <= v / (c - r) whenever c > r.  A dropped source
-    counts as 0 where its true rates are below ``floor``.  Hence every signal
-    >= ``floor``, and its causes, are what evaluating every pair gives, and
-    every signal below ``floor`` stays below it: with ``floor`` at most both
-    thresholds, no signal changes side of its threshold.  At ``floor = 0``
-    only sources at zero relative velocity are skipped and every signal is
-    exact.
+    torus (c the distance of their centers, r the largest body-point radius
+    plus the largest eye radius) and moves rigidly at their relative speed v,
+    so its rate obeys |phi_dot| <= v / (c - r) whenever c > r.  A dropped
+    source counts as 0 where its true rates are below ``floor``, so every
+    signal >= ``floor``, and its causes, are what evaluating every pair gives,
+    and every signal below ``floor`` stays below it.  At ``floor = 0`` only
+    sources at zero relative velocity are skipped and every signal is exact.
+
+    Body points and eyes enter the world frame by one expression over both
+    axes, ``(pos + (ca, sa) fx) - (sa, -ca) fy``: bitwise the per-axis
+    ``x + ca fx - sa fy`` and ``y + sa fx + ca fy``, as ``(-c) y == -(c y)``
+    and ``x - (-y) == x + y`` exactly in IEEE-754.
     """
     n = len(pos)
     by_source = np.zeros((3, n, n))
-    ii, jj = np.nonzero(kept_pairs(pos, vel, params, floor))
+    kept = kept_pairs(pos, vel, params, floor, centre)
+    if observers is not None:
+        kept &= observers[:, None]
+    ii, jj = np.nonzero(kept)
     if len(ii):
-        ca = np.cos(heading - math.pi / 2.0)
-        sa = np.sin(heading - math.pi / 2.0)
+        ca, sa = np.cos(heading - math.pi / 2.0), np.sin(heading - math.pi / 2.0)
+        frame, _, lo, hi = _body(params.d_eye, params.cva, params.ipsi_field)
+        world = ((pos[:, None, :] + np.array((ca, sa)).T[:, None, :] * frame[:, :1])
+                 - np.array((sa, -ca)).T[:, None, :] * frame[:, 1:])  # (n, 16, 2)
+        points, eyes = world[:, :len(BODY_OUTLINE)], world[:, len(BODY_OUTLINE):]
 
-        bx, by = BODY_OUTLINE[:, 0], BODY_OUTLINE[:, 1]
-        px = pos[:, 0, None] + ca[:, None] * bx - sa[:, None] * by      # (n, 14)
-        py = pos[:, 1, None] + sa[:, None] * bx + ca[:, None] * by
-
-        offs = eye_offsets(params.d_eye)
-        # eye offsets rotated into the world frame, (n, 2 eyes)
-        ex = pos[:, 0, None] + ca[:, None] * offs[:, 0] - sa[:, None] * offs[:, 1]
-        ey = pos[:, 1, None] + sa[:, None] * offs[:, 0] + ca[:, None] * offs[:, 1]
-
-        # (pair, eye, point) displacements from each observer eye to the source
-        dx = min_image_delta(ex[ii, :, None], px[jj, None, :], params.arena)
-        dy = min_image_delta(ey[ii, :, None], py[jj, None, :], params.arena)
+        # (pair, eye, point, axis) displacements from each observer eye to the source
+        d = _min_image(points[jj, None] - eyes[ii, :, None], params.arena)
+        dx, dy = d[..., 0], d[..., 1]
         d2 = dx * dx + dy * dy
 
         # observer frame: forward is the heading (-sa, ca), left its CCW normal
         hx, hy = -sa[ii, None, None], ca[ii, None, None]
         phi = np.arctan2(hx * dy - hy * dx, hx * dx + hy * dy)
-        lo = np.array([-params.cva, -params.ipsi_field])[:, None]  # left, right
-        hi = np.array([params.ipsi_field, params.cva])[:, None]
         seen = (phi >= lo) & (phi <= hi) & (d2 > 0.0)
 
-        rvx = (vel[jj, 0] - vel[ii, 0])[:, None, None]
-        rvy = (vel[jj, 1] - vel[ii, 1])[:, None, None]
-        rate = np.divide(rvy * dx - rvx * dy, d2, out=np.zeros_like(d2), where=seen)
+        rv = (vel[jj] - vel[ii])[:, None, None]
+        rate = np.divide(rv[..., 1] * dx - rv[..., 0] * dy, d2,
+                         out=np.zeros_like(d2), where=seen)
 
         # left eye (index 0) reads clockwise, right eye (index 1) counter-clockwise
         grm = np.maximum(-rate[:, 0], rate[:, 1]).max(axis=1)
 
         # hemifield: side of the observer's spine, by the lateral body-frame
         # coordinate of the point about the body center; 0 is neither side
-        bdx = min_image_delta(pos[ii, 0, None], px[jj], params.arena)
-        bdy = min_image_delta(pos[ii, 1, None], py[jj], params.arena)
-        lateral = (ca[ii, None] * bdx + sa[ii, None] * bdy)[:, None]  # right > 0
+        b = _min_image(points[jj] - pos[ii, None], params.arena)  # (pair, point, axis)
+        lateral = (ca[ii, None] * b[..., 0] + sa[ii, None] * b[..., 1])[:, None]  # right > 0
         ccw = np.where(lateral < 0.0, rate, 0.0).max(axis=(1, 2))
         cw = np.where(lateral > 0.0, -rate, 0.0).max(axis=(1, 2))
         by_source[:, ii, jj] = np.maximum((grm, ccw, cw), 0.0)

@@ -23,8 +23,9 @@ class FixedRng:
 
 def control(moving, max_grm=0.0, omega=0.0, *, params, coin=0.9):
     """Next walk flag of a single agent whose coin (if flipped) reads ``coin``."""
+    lucky = dyn.restart_coins(np.array([moving]), params, [FixedRng(coin)])
     return bool(dyn.control_step(np.array([moving]), np.array([max_grm]),
-                                 np.array([omega]), params, [FixedRng(coin)])[0])
+                                 np.array([omega]), params, lucky)[0])
 
 
 # ------------------------------------------------------------------ params
@@ -137,12 +138,13 @@ def test_control_flips_one_coin_per_stopped_agent():
     params = SimParams(t_grm=6.0, t_loom=32.0, p_restart=0.5)
     rngs = [np.random.default_rng(k) for k in range(4)]
     moving = np.array([True, False, False, True])
-    dyn.control_step(moving, np.array([0.0, 7.0, 0.0, 7.0]), np.zeros(4), params, rngs)
+    lucky = dyn.restart_coins(moving, params, rngs)
+    dyn.control_step(moving, np.array([0.0, 7.0, 0.0, 7.0]), np.zeros(4), params, lucky)
     after = [r.random() for r in rngs]
     fresh = [np.random.default_rng(k) for k in range(4)]
-    for r in fresh[1:3]:
-        r.random()
+    coins = [r.random() for r in fresh[1:3]]
     assert after == [r.random() for r in fresh]
+    assert lucky.tolist() == [False] + [c < params.p_restart for c in coins] + [False]
 
 
 # ------------------------------------------------------------- reorientation
@@ -207,8 +209,11 @@ def test_reorientation_only_touches_stopping_rows():
 # ------------------------------------------------------------------ advance
 
 def advance_one(x, y, heading, speed, moving, params):
-    return dyn.advance(np.array([[x, y]]), np.array([heading]), np.array([speed]),
-                       np.array([moving]), params)[0]
+    pos, vel = dyn.advance(np.array([[x, y]]), np.array([heading]), np.array([speed]),
+                           np.array([moving]), params)
+    assert np.array_equal(vel, dyn.velocity(np.array([heading]), np.array([speed]),
+                                            np.array([moving])))
+    return pos[0]
 
 
 def test_advance_stopped_agent_stays():

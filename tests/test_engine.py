@@ -173,27 +173,66 @@ def _trial_outputs(result):
 @pytest.mark.parametrize("n_agents, t_grm, t_loom, seed",
                          [(10, 6.0, 32.0, 2), (30, 1.0, 4.0, 0)])
 def test_pair_culling_leaves_trials_unchanged(monkeypatch, n_agents, t_grm, t_loom, seed):
-    # the engine culls at min(T_grm, T_loom); forcing floor 0 evaluates every
-    # moving pair and must give the same trial
+    # the engine culls pairs at min(T_grm, T_loom) and skips observers whose
+    # decision cannot change; evaluating every observer and every moving pair
+    # must give the same trial
     desk = config.parse_config(DESK).params
     params = replace(desk, n_agents=n_agents, t_grm=t_grm, t_loom=t_loom,
                      horizon_steps=400)
     culled = engine.run_trial(params, seed)
 
     exact_summaries = perception.world_summaries
-    floors, skipped = set(), 0
+    floors, skipped, left_out = set(), 0, 0
 
-    def at_floor_zero(pos, heading, vel, params, *, floor):
-        nonlocal skipped
+    def every_pair_and_observer(pos, heading, vel, params, *, floor, observers, centre):
+        nonlocal skipped, left_out
         floors.add(floor)
         skipped += int((perception.kept_pairs(pos, vel, params)
                         & ~perception.kept_pairs(pos, vel, params, floor)).sum())
+        left_out += int((~observers).sum())
         return exact_summaries(pos, heading, vel, params)
 
-    monkeypatch.setattr(perception, "world_summaries", at_floor_zero)
+    monkeypatch.setattr(perception, "world_summaries", every_pair_and_observer)
     exact = engine.run_trial(params, seed)
-    assert floors == {min(t_grm, t_loom)} and skipped > 0
+    assert floors == {min(t_grm, t_loom)} and skipped > 0 and left_out > 0
     assert culled.stops and _trial_outputs(culled) == _trial_outputs(exact)
+
+
+def test_world_carries_velocity_and_centre_displacement():
+    params = config.parse_config(DESK).params
+    init_rng, streams = dynamics.trial_streams(4, params.n_agents)
+    world = engine.make_world(*dynamics.init_agents(params, init_rng), params)
+    stops = 0
+    for _ in range(400):
+        assert np.array_equal(world.centre, min_image_delta(
+            world.pos[:, None, :], world.pos[None, :, :], params.arena))
+        assert np.array_equal(world.vel, dynamics.velocity(world.heading, world.speed,
+                                                           world.moving))
+        world, events = engine.step(world, streams)
+        stops += len(events.stops)
+    assert stops > 0
+
+
+def test_restart_coins_drawn_before_perception(monkeypatch):
+    # at the percept call every stopped agent has drawn exactly one coin and
+    # every walking agent nothing
+    world = world_of([agent(10.0, 10.0, 0.0, 20.0, moving=False),
+                      agent(20.0, 30.0, 1.0, 20.0),
+                      agent(40.0, 10.0, 2.0, 20.0, moving=False)], QUIET)
+    streams = dynamics.trial_streams(3, 3)[1]
+    states = []
+    exact_summaries = perception.world_summaries
+
+    def record(*args, **kwargs):
+        states.append([r.bit_generator.state for r in streams])
+        return exact_summaries(*args, **kwargs)
+
+    monkeypatch.setattr(perception, "world_summaries", record)
+    fresh = dynamics.trial_streams(3, 3)[1]
+    engine.step(world, streams)
+    for i in (0, 2):
+        fresh[i].random()
+    assert states == [[r.bit_generator.state for r in fresh]]
 
 
 def test_every_stop_transition_yields_one_record():

@@ -11,6 +11,7 @@ from grmsim.dynamics import SimParams
 from grmsim.harness import (ConfigError, SweepGrid, cli, config, derive_seed,
                             emit_csv, emit_frames, emit_scatter_svg, parse_csv,
                             run_sweep, verify_theorems)
+from grmsim.harness import sweep as sweep_mod
 from grmsim.harness.sweep import SweepRow, aggregate_rows
 
 TINY = SimParams(horizon_steps=150)
@@ -210,17 +211,40 @@ def test_sweep_survives_trial_failures():
     assert table.rows[0].tp is None and table.rows[0].mobility is None
 
 
-def test_sweep_wall_clock_scales_linearly_in_trials():
+def test_sweep_cpu_time_scales_linearly_in_trials():
+    # process CPU time, best of 3 per size: with one worker every trial runs
+    # in this process, so time another process holds the CPU does not count;
+    # the sizes alternate so that both see the same load
     grid_n = SweepGrid((30.0,), (6.0,), (32.0,), 6, 3)
     grid_2n = replace(grid_n, trials_per_cell=12)
     run_sweep(replace(grid_n, trials_per_cell=1), TINY, workers=1)  # warm-up
-    t0 = time.perf_counter()
-    run_sweep(grid_n, TINY, workers=1)
-    t_n = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    run_sweep(grid_2n, TINY, workers=1)
-    t_2n = time.perf_counter() - t0
-    assert 2.0 * 0.7 <= t_2n / t_n <= 2.0 * 1.3
+    best = {}
+    for _ in range(3):
+        for grid in (grid_n, grid_2n):
+            t0 = time.process_time()
+            run_sweep(grid, TINY, workers=1)
+            elapsed = time.process_time() - t0
+            best[grid] = min(elapsed, best.get(grid, elapsed))
+    assert 2.0 * 0.7 <= best[grid_2n] / best[grid_n] <= 2.0 * 1.3
+
+
+def test_sweep_default_workers_follow_cpu_affinity(monkeypatch):
+    # a process pinned to one CPU runs its trials in-process, whatever the
+    # machine's CPU count; without an affinity call the CPU count is used
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a process pool")
+
+    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(sweep_mod.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    grid = replace(GRID_1, trials_per_cell=2)
+    assert len(run_sweep(grid, TINY).rows) == 2
+    monkeypatch.delattr(sweep_mod.os, "sched_getaffinity")
+    monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 1)
+    assert len(run_sweep(grid, TINY).rows) == 2
+    monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: 8)
+    with pytest.raises(AssertionError, match="process pool"):
+        run_sweep(grid, TINY)
 
 
 # ------------------------------------------------------------------- CSV
@@ -246,6 +270,19 @@ def test_csv_roundtrip_identical(tmp_path):
     parsed = parse_csv(first)
     assert [(r.tp, r.fp, r.tn, r.fn) for r in parsed.rows] == \
         [(r.tp, r.fp, r.tn, r.fn) for r in table.rows]
+
+
+def test_parse_csv_rejects_duplicate_cell_trial_rows(tmp_path, capsys):
+    # appending one sweep's rows to another would count each trial twice
+    table = run_sweep(replace(GRID_1, trials_per_cell=2), TINY, workers=1)
+    path = emit_csv(table, tmp_path / "a.csv")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines + lines[2:]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"duplicate \\(cell, trial\\) row '{lines[2]}'"):
+        parse_csv(path)
+    assert cli.main(["plot", str(path), "--out", str(tmp_path / "p.svg")]) == 2
+    assert "duplicate (cell, trial) row" in capsys.readouterr().err
+    assert not (tmp_path / "p.svg").exists()
 
 
 def test_parse_csv_rejects_garbage(tmp_path):

@@ -367,6 +367,29 @@ def test_pair_culling_keeps_every_threshold_decision():
     assert dropped > 0 and high > 0
 
 
+def test_observer_mask_keeps_listed_rows_and_zeroes_the_rest():
+    # the engine lists only the walking and lucky agents, with the carried
+    # centre displacement: listed rows are the unmasked ones bit for bit
+    rng = np.random.default_rng(41)
+    params = SimParams()
+    hidden = 0
+    for pos, heading, vel in _culling_worlds(rng, params, 40):
+        observers = (vel != 0.0).any(axis=1) | (rng.random(len(pos)) < 0.2)
+        for floor in (0.0, 1.0):
+            full = per.world_summaries(pos, heading, vel, params, floor=floor)
+            masked = per.world_summaries(pos, heading, vel, params, floor=floor,
+                                         observers=observers,
+                                         centre=geo.pair_deltas(pos, params.arena))
+            assert np.array_equal(masked.by_source[:, observers],
+                                  full.by_source[:, observers])
+            assert not masked.by_source[:, ~observers].any()
+            for signal in ("max_grm", "omega_loom"):
+                want = np.where(observers, getattr(full, signal), 0.0)
+                assert np.array_equal(getattr(masked, signal), want)
+            hidden += int(full.by_source[:, ~observers].any())
+    assert hidden > 0
+
+
 def test_culled_pairs_have_every_rate_below_floor():
     # the scalar oracle's rate of every point of every dropped source; the
     # widest fields leave no point unseen by both eyes
