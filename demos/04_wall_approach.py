@@ -25,6 +25,7 @@ speed = [10.0] * n_wall + [22.0]
 moving = [False] * n_wall + [True]
 world = engine.make_world(pos, heading, speed, params, moving=moving)
 streams = dynamics.trial_streams(0, n_wall + 1)[1]
+every_pair = np.ones((n_wall + 1, n_wall + 1), bool)
 
 print(f"mover at 22 mm/s, 15 deg off the wall normal, stop threshold "
       f"{params.t_grm} rad/s, cva {math.degrees(params.cva):.0f} deg\n")
@@ -32,8 +33,9 @@ print("   time   wall distance   strongest GRM")
 for t in range(4000):
     delta = min_image_delta(world.pos[-1], world.pos[:-1], params.arena)
     clearance = float(np.hypot(delta[:, 0], delta[:, 1]).min())
-    vel = dynamics.velocity(world.heading, world.speed, world.moving)
-    max_grm = perception.world_summaries(world.pos, world.heading, vel, params).max_grm[-1]
+    # every pair, so the sub-threshold GRM values printed are exact too
+    max_grm = perception.world_summaries(world.pos, world.heading, world.vel, params,
+                                         every_pair).max_grm[-1]
     if t % 40 == 0 or not world.moving[-1]:
         print(f"  {t * params.dt:5.2f}s   {clearance:9.2f} mm   "
               f"{max_grm:8.3f} rad/s")

@@ -54,6 +54,10 @@ class SimParams:
     predict_horizon: float = 2.0
 
     def validate(self) -> "SimParams":
+        for name in ("n_agents", "horizon_steps"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")

@@ -113,9 +113,8 @@ def step(world: WorldState, rngs: list[RngStream]) -> tuple[WorldState, StepEven
     # an unlucky stopped agent stays stopped whatever it sees, and a rate below
     # both thresholds changes no decision, so neither is evaluated
     lucky = dynamics.restart_coins(world.moving, params, rngs)
-    summary = perception.world_summaries(
-        world.pos, world.heading, world.vel, params, floor=min(params.t_grm, params.t_loom),
-        observers=world.moving | lucky, centre=world.centre)
+    pairs = perception.kept_pairs(world.vel, world.centre, params) & (world.moving | lucky)[:, None]
+    summary = perception.world_summaries(world.pos, world.heading, world.vel, params, pairs)
 
     moving = dynamics.control_step(
         world.moving, summary.max_grm, summary.omega_loom, params, lucky)

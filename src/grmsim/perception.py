@@ -21,11 +21,11 @@ Only the (observer, source) pairs that can matter are evaluated.  A body
 moves rigidly, so every point of a source, seen from either eye, has
 |phi_dot| <= v / (c - r): v is the relative speed, c the distance of the two
 centers and r the largest body-point radius plus the largest eye radius.
-Pairs whose bound lies safely below a ``floor``, and pairs at zero relative
-velocity, are skipped.  Every signal at or above the floor, and its causes,
-is then exact, and every signal below it stays below it; the engine passes
-min(T_grm, T_loom), so no stop or restart decision changes.  Rows outside
-``observers`` are 0; the engine lists every agent whose walk flag may change.
+``kept_pairs`` drops the pairs whose bound lies safely below the floor
+min(T_grm, T_loom) from params, and the pairs at zero relative velocity.
+Every signal at or above the floor, and its causes, is then exact, and every
+signal below it stays below it, so no stop or restart decision changes.
+``world_summaries`` evaluates exactly the pairs it is handed.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SimParams
-from .geometry import _min_image, pair_deltas
+from .geometry import _min_image
 
 # Body outline in the body frame (+y is the heading), mm.  Length 2, max
 # width 0.9, left/right symmetric, with two midline points on the spine.
@@ -102,16 +102,16 @@ def _body(d_eye: float, cva: float, ipsi_field: float):
     return frame, float(radius[:-2].max() + radius[-2:].max()), bounds[0], bounds[1]
 
 
-def kept_pairs(pos: np.ndarray, vel: np.ndarray, params: SimParams,
-               floor: float = 0.0, centre: np.ndarray | None = None) -> np.ndarray:
-    """(n, n) mask of the (observer, source) pairs whose rates may reach ``floor``.
+def kept_pairs(vel: np.ndarray, centre: np.ndarray, params: SimParams) -> np.ndarray:
+    """(n, n) mask of the (observer, source) pairs whose rates may reach the floor.
 
-    A pair is dropped when its bound v / (c - r) on every point's rate (see
-    ``world_summaries``) is safely below ``floor``, and always when its
+    ``centre`` is ``pair_deltas(pos, arena)``.  The floor is
+    min(T_grm, T_loom).  A pair is dropped when its bound v / (c - r) on
+    every point's rate is safely below the floor, and always when its
     relative speed v is 0: its rates are then exactly 0.  Self pairs are
-    among those.  ``centre``, if given, is ``pair_deltas(pos, arena)``.
+    among those.
     """
-    centre = pair_deltas(pos, params.arena) if centre is None else centre
+    floor = min(params.t_grm, params.t_loom)
     rel = vel[None, :, :] - vel[:, None, :]
     v = np.hypot(rel[..., 0], rel[..., 1])
     # The margins make a dropped pair's rates provably smaller than floor.
@@ -126,25 +126,14 @@ def kept_pairs(pos: np.ndarray, vel: np.ndarray, params: SimParams,
 
 
 def world_summaries(pos: np.ndarray, heading: np.ndarray, vel: np.ndarray,
-                    params: SimParams, *, floor: float = 0.0,
-                    observers: np.ndarray | None = None,
-                    centre: np.ndarray | None = None) -> PerceptSummary:
+                    params: SimParams, pairs: np.ndarray) -> PerceptSummary:
     """Percept summary for every agent against one frozen snapshot.
 
     ``pos`` and ``vel`` are (n, 2), ``heading`` is (n,); row i is agent i.
-    An observer sees neither its own body nor a point on an eye center.
-    Rows outside the (n,) ``observers`` mask, if given, are 0.  ``centre``,
-    if given, is ``pair_deltas(pos, arena)``.
-
-    Only the pairs that ``kept_pairs`` keeps are evaluated.  Seen from either
-    eye of observer i, a point of source j is at least c - r away on the
-    torus (c the distance of their centers, r the largest body-point radius
-    plus the largest eye radius) and moves rigidly at their relative speed v,
-    so its rate obeys |phi_dot| <= v / (c - r) whenever c > r.  A dropped
-    source counts as 0 where its true rates are below ``floor``, so every
-    signal >= ``floor``, and its causes, are what evaluating every pair gives,
-    and every signal below ``floor`` stays below it.  At ``floor = 0`` only
-    sources at zero relative velocity are skipped and every signal is exact.
+    Only the (observer, source) pairs in the (n, n) bool mask ``pairs`` are
+    evaluated; every other entry is 0.  An observer sees neither its own body
+    nor a point on an eye center, and a source at zero relative velocity has
+    rates of exactly 0, so ``np.ones((n, n), bool)`` gives every signal exact.
 
     Body points and eyes enter the world frame by one expression over both
     axes, ``(pos + (ca, sa) fx) - (sa, -ca) fy``: bitwise the per-axis
@@ -153,10 +142,7 @@ def world_summaries(pos: np.ndarray, heading: np.ndarray, vel: np.ndarray,
     """
     n = len(pos)
     by_source = np.zeros((3, n, n))
-    kept = kept_pairs(pos, vel, params, floor, centre)
-    if observers is not None:
-        kept &= observers[:, None]
-    ii, jj = np.nonzero(kept)
+    ii, jj = np.nonzero(pairs)
     if len(ii):
         ca, sa = np.cos(heading - math.pi / 2.0), np.sin(heading - math.pi / 2.0)
         frame, _, lo, hi = _body(params.d_eye, params.cva, params.ipsi_field)

@@ -1,0 +1,35 @@
+"""The benchmark's span hooks still wrap functions that the package calls.
+
+``benchmarks/tests`` is not collected by this suite, so without this test a
+signature change that breaks ``benchmarks/run.py --trace 1`` would pass here.
+The benchmark modules are imported as they are, without writing bytecode
+next to them.
+"""
+
+import pathlib
+import sys
+
+from grmsim import engine
+from grmsim.dynamics import SimParams
+from grmsim.harness import sweep
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def test_every_wrapped_function_records_a_span(monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    from spans import SpanRecorder
+
+    params = SimParams(horizon_steps=30)
+    grid = sweep.SweepGrid((30.0,), (4.0,), (32.0,), trials_per_cell=1)
+    with SpanRecorder() as recorder:
+        layers.install(recorder)
+        engine.run_trial(params, seed=0)
+        sweep.emit_csv(sweep.run_sweep(grid, params, workers=1), tmp_path / "sweep.csv")
+    for name in recorder.names:
+        assert recorder.mask(name).any(), name
+    elements = sum(v for (_, key), v in recorder.counts.items() if key == "elements")
+    assert elements > 0
+    assert engine.step.__module__ == "grmsim.engine"  # the wrappers are gone

@@ -40,6 +40,12 @@ def test_params_validation():
         SimParams(p_restart=1.5).validate()
     with pytest.raises(ValueError):
         SimParams(cva=2.0).validate()
+    # a count must be an int (Python or numpy), never a float or a bool
+    SimParams(n_agents=np.int64(3), horizon_steps=np.int32(5)).validate()
+    for field, value in (("n_agents", 10.0), ("horizon_steps", 5.5), ("n_agents", True),
+                         ("horizon_steps", np.float64(5.0)), ("n_agents", np.bool_(True))):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SimParams(**{field: value}).validate()
 
 
 @pytest.mark.parametrize("field", ["dt", "arena", "d_eye", "v_min", "v_max",

@@ -7,7 +7,7 @@ import pytest
 
 from grmsim import analysis, dynamics, engine, perception
 from grmsim.dynamics import SimParams
-from grmsim.geometry import min_image_delta, wrap_torus
+from grmsim.geometry import min_image_delta, pair_deltas, wrap_torus
 from grmsim.harness import config
 from scenario_fixtures import (agent, collision_course_scenario, fixture_params,
                                overtake_scenario, world_of)
@@ -84,8 +84,8 @@ def test_synchronous_update_uses_snapshot_percepts():
     # moving both agents by hand one step and recomputing percepts gives the
     # same stop decision the engine made from the frozen snapshot
     world, params = collision_course_scenario()
-    vel = dynamics.velocity(world.heading, world.speed, world.moving)
-    summary = perception.world_summaries(world.pos, world.heading, vel, params)
+    summary = perception.world_summaries(world.pos, world.heading, world.vel, params,
+                                         np.ones((2, 2), bool))
     streams = dynamics.trial_streams(0, 2)[1]
     _, ev = engine.step(world, streams)
     should_stop = summary.max_grm[0] > params.t_grm
@@ -174,27 +174,28 @@ def _trial_outputs(result):
                          [(10, 6.0, 32.0, 2), (30, 1.0, 4.0, 0)])
 def test_pair_culling_leaves_trials_unchanged(monkeypatch, n_agents, t_grm, t_loom, seed):
     # the engine culls pairs at min(T_grm, T_loom) and skips observers whose
-    # decision cannot change; evaluating every observer and every moving pair
-    # must give the same trial
+    # decision cannot change; evaluating every pair must give the same trial
     desk = config.parse_config(DESK).params
     params = replace(desk, n_agents=n_agents, t_grm=t_grm, t_loom=t_loom,
                      horizon_steps=400)
     culled = engine.run_trial(params, seed)
 
     exact_summaries = perception.world_summaries
-    floors, skipped, left_out = set(), 0, 0
+    skipped, emptied_rows = 0, 0
 
-    def every_pair_and_observer(pos, heading, vel, params, *, floor, observers, centre):
-        nonlocal skipped, left_out
-        floors.add(floor)
-        skipped += int((perception.kept_pairs(pos, vel, params)
-                        & ~perception.kept_pairs(pos, vel, params, floor)).sum())
-        left_out += int((~observers).sum())
-        return exact_summaries(pos, heading, vel, params)
+    def every_pair(pos, heading, vel, params, pairs):
+        nonlocal skipped, emptied_rows
+        moving_apart = (vel[None, :, :] != vel[:, None, :]).any(axis=-1)
+        skipped += int((moving_apart & ~pairs).sum())
+        # rows the cull alone keeps, left empty by the observer mask
+        kept = perception.kept_pairs(vel, pair_deltas(pos, params.arena), params)
+        emptied_rows += int((kept.any(axis=1) & ~pairs.any(axis=1)).sum())
+        n = len(pos)
+        return exact_summaries(pos, heading, vel, params, np.ones((n, n), bool))
 
-    monkeypatch.setattr(perception, "world_summaries", every_pair_and_observer)
+    monkeypatch.setattr(perception, "world_summaries", every_pair)
     exact = engine.run_trial(params, seed)
-    assert floors == {min(t_grm, t_loom)} and skipped > 0 and left_out > 0
+    assert skipped > 0 and emptied_rows > 0
     assert culled.stops and _trial_outputs(culled) == _trial_outputs(exact)
 
 

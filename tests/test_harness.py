@@ -131,6 +131,9 @@ def test_sweep_rejects_bad_grid_and_workers():
     for name in ("cva_values_deg", "t_grm_values", "t_loom_values"):
         with pytest.raises(ValueError, match=f"{name} repeats a value"):
             run_sweep(replace(GRID_1, **{name: 2 * getattr(GRID_1, name)}), TINY)
+        # distinct floats the CSV prints alike, which its own parser would reject
+        with pytest.raises(ValueError, match=f"{name} repeats a value"):
+            run_sweep(replace(GRID_1, **{name: (1.0000001, 1.0000002)}), TINY)
     with pytest.raises(ValueError, match="worker"):
         run_sweep(GRID_1, TINY, workers=0)
 

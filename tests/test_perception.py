@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,12 @@ def snapshot(*rows):
 
 def row(x, y, heading, speed=20.0, moving=True):
     return x, y, heading, speed, moving
+
+
+def exact_summary(world, params):
+    """``world_summaries`` over every (observer, source) pair: exact signals."""
+    n = len(world[0])
+    return per.world_summaries(*world, params, np.ones((n, n), bool))
 
 
 def percept(source=1, eye="right", phi=0.0, phi_dot=0.0, phi_body=None, idx=0):
@@ -55,7 +62,7 @@ def check_eye_field_bounds(cva_deg, theta_i_deg=120.0):
             course = bearing + spin * math.pi / 2   # tangential about the eye
             world = snapshot(row(25.0, 25.0, math.pi / 2, moving=False),
                                row(src[0], src[1], course))
-            max_grm, causes, _, _ = kernel_row(per.world_summaries(*world, params), 0)
+            max_grm, causes, _, _ = kernel_row(exact_summary(world, params), 0)
             label = f"eye {eye}, bound {math.degrees(bound):.0f}, inside {inside}"
             if inside:
                 assert max_grm > 0.0 and causes == {1}, label
@@ -114,7 +121,7 @@ def test_head_on_approach_expands_and_cva_cone_sees_grm():
             assert math.copysign(1.0, p.phi_dot) == math.copysign(1.0, p.phi)
     # the stationary obstacle ahead is a GRM stimulus within the cva cone,
     # and a looming stimulus (it expands on both sides)
-    max_grm, causes, omega, loom_causes = kernel_row(per.world_summaries(*world, params), 0)
+    max_grm, causes, omega, loom_causes = kernel_row(exact_summary(world, params), 0)
     assert max_grm > 0 and causes == {1}
     assert omega > 0 and loom_causes == {1}
 
@@ -125,7 +132,7 @@ def test_agent_directly_behind_is_invisible():
     world = snapshot(row(25.0, 25.0, math.pi / 2),
                        row(25.0, 20.0, math.pi / 2, speed=30.0))
     assert project_points(0, *world, params) == []
-    assert kernel_row(per.world_summaries(*world, params), 0) == \
+    assert kernel_row(exact_summary(world, params), 0) == \
         (0.0, frozenset(), 0.0, frozenset())
 
 
@@ -152,7 +159,7 @@ def test_coincident_point_skipped():
     params = SimParams(d_eye=0.0)
     src_y = (16.0 + per.EYE_FORWARD) + 1.0
     world = snapshot(row(16.0, 16.0, math.pi / 2), row(16.0, src_y, -math.pi / 2))
-    summary = per.world_summaries(*world, params)
+    summary = exact_summary(world, params)
     assert np.isfinite(summary.max_grm).all() and np.isfinite(summary.omega_loom).all()
     percepts = project_points(0, *world, params)
     # the tip is skipped on both eyes; every other point is seen
@@ -265,7 +272,7 @@ def test_looming_zero_for_single_hemifield_world():
                        *(row(25.0 - 3.0 * i, 25.0 + 2.0 * i, 0.0) for i in (1, 2)))
     percepts = project_points(0, *world, params)
     assert percepts and all(p.phi_body > 0 for p in percepts)
-    assert per.world_summaries(*world, params).omega_loom[0] == 0.0
+    assert exact_summary(world, params).omega_loom[0] == 0.0
 
 
 @pytest.mark.parametrize("ipsi_deg", [120, 180])
@@ -279,7 +286,7 @@ def test_vectorized_summaries_agree_with_object_path(cva_deg, ipsi_deg):
     for k in range(40):
         n = int(rng.integers(2, 9))
         world = _random_world(rng, params, n=n, box=8.0 if k % 2 else None)
-        summary = per.world_summaries(*world, params)
+        summary = exact_summary(world, params)
         for i in range(n):
             max_grm, grm_causes, omega, loom_causes = kernel_row(summary, i)
             want = summarize(project_points(i, *world, params))
@@ -292,7 +299,7 @@ def test_summary_invariants_on_random_worlds():
     rng = np.random.default_rng(19)
     params = SimParams()
     for _ in range(20):
-        s = per.world_summaries(*_random_world(rng, params), params)
+        s = exact_summary(_random_world(rng, params), params)
         assert np.all(s.max_grm >= 0) and np.all(s.omega_loom >= 0)
         for i in range(len(s.max_grm)):
             grm_causes, loom_causes = s.causes(i)
@@ -336,57 +343,59 @@ def _culling_worlds(rng, params, count):
 
 
 def test_pair_culling_keeps_every_threshold_decision():
-    # culled at floor = min(T_grm, T_loom) against exact at floor 0: each
-    # signal sits on the same side of its threshold, and a signal >= floor
-    # is the same number with the same causes
+    # culled at floor = min(T_grm, T_loom) against every pair: each signal
+    # sits on the same side of its threshold, and a signal >= floor is the
+    # same number with the same causes
     rng = np.random.default_rng(29)
     params = SimParams()
     dropped = high = 0
     for pos, heading, vel in _culling_worlds(rng, params, 40):
-        exact = per.world_summaries(pos, heading, vel, params)
+        centre = geo.pair_deltas(pos, params.arena)
+        exact = exact_summary((pos, heading, vel), params)
         exact_causes = [exact.causes(i) for i in range(len(pos))]
+        moving_apart = (vel[None, :, :] != vel[:, None, :]).any(axis=-1)
         for t_grm, t_loom in itertools.product(FULLSCALE_THRESHOLDS, repeat=2):
             floor = min(t_grm, t_loom)
-            culled = per.world_summaries(pos, heading, vel, params, floor=floor)
+            kept = per.kept_pairs(vel, centre, replace(params, t_grm=t_grm, t_loom=t_loom))
+            culled = per.world_summaries(pos, heading, vel, params, kept)
             culled_causes = [culled.causes(i) for i in range(len(pos))]
-            dropped += int((per.kept_pairs(pos, vel, params)
-                            & ~per.kept_pairs(pos, vel, params, floor)).sum())
+            dropped += int((moving_apart & ~kept).sum())
             for signal, channel, threshold in (("max_grm", 0, t_grm),
                                                ("omega_loom", 1, t_loom)):
                 want, got = getattr(exact, signal), getattr(culled, signal)
                 label = (signal, t_grm, t_loom)
                 assert np.array_equal(want > threshold, got > threshold), label
                 assert np.array_equal(want < threshold, got < threshold), label
-                kept = want >= floor
-                assert np.array_equal(kept, got >= floor), label
-                assert np.array_equal(want[kept], got[kept]), label
-                for i in np.flatnonzero(kept):
+                high_rows = want >= floor
+                assert np.array_equal(high_rows, got >= floor), label
+                assert np.array_equal(want[high_rows], got[high_rows]), label
+                for i in np.flatnonzero(high_rows):
                     assert np.array_equal(exact_causes[i][channel],
                                           culled_causes[i][channel]), (label, i)
-                high += int(kept.sum())
+                high += int(high_rows.sum())
     assert dropped > 0 and high > 0
 
 
-def test_observer_mask_keeps_listed_rows_and_zeroes_the_rest():
-    # the engine lists only the walking and lucky agents, with the carried
-    # centre displacement: listed rows are the unmasked ones bit for bit
+def test_pair_mask_keeps_listed_entries_and_zeroes_the_rest():
+    # the engine hands over culled pairs of the walking and lucky observers:
+    # listed entries are the every-pair ones bit for bit, the rest are 0
     rng = np.random.default_rng(41)
     params = SimParams()
     hidden = 0
     for pos, heading, vel in _culling_worlds(rng, params, 40):
-        observers = (vel != 0.0).any(axis=1) | (rng.random(len(pos)) < 0.2)
-        for floor in (0.0, 1.0):
-            full = per.world_summaries(pos, heading, vel, params, floor=floor)
-            masked = per.world_summaries(pos, heading, vel, params, floor=floor,
-                                         observers=observers,
-                                         centre=geo.pair_deltas(pos, params.arena))
-            assert np.array_equal(masked.by_source[:, observers],
-                                  full.by_source[:, observers])
-            assert not masked.by_source[:, ~observers].any()
-            for signal in ("max_grm", "omega_loom"):
-                want = np.where(observers, getattr(full, signal), 0.0)
-                assert np.array_equal(getattr(masked, signal), want)
-            hidden += int(full.by_source[:, ~observers].any())
+        n = len(pos)
+        full = exact_summary((pos, heading, vel), params)
+        for _ in range(2):
+            pairs = rng.random((n, n)) < 0.5
+            masked = per.world_summaries(pos, heading, vel, params, pairs)
+            assert np.array_equal(masked.by_source[:, pairs], full.by_source[:, pairs])
+            assert np.array_equal(np.signbit(masked.by_source[:, pairs]),
+                                  np.signbit(full.by_source[:, pairs]))
+            assert not masked.by_source[:, ~pairs].any()
+            best = np.where(pairs, full.by_source, 0.0).max(axis=2)
+            assert np.array_equal(masked.max_grm, best[0])
+            assert np.array_equal(masked.omega_loom, np.minimum(best[1], best[2]))
+            hidden += int(full.by_source[:, ~pairs].any())
     assert hidden > 0
 
 
@@ -398,11 +407,13 @@ def test_culled_pairs_have_every_rate_below_floor():
     checked = 0
     for world in _culling_worlds(rng, params, 30):
         pos, _, vel = world
+        centre = geo.pair_deltas(pos, params.arena)
         off_diagonal = ~np.eye(len(pos), dtype=bool)
         for i in range(len(pos)):
             percepts = project_points(i, *world, params)
             for floor in FULLSCALE_THRESHOLDS:
-                dropped = off_diagonal[i] & ~per.kept_pairs(pos, vel, params, floor)[i]
+                at_floor = replace(params, t_grm=floor, t_loom=floor)
+                dropped = off_diagonal[i] & ~per.kept_pairs(vel, centre, at_floor)[i]
                 rates = [abs(p.phi_dot) for p in percepts if dropped[p.source_agent]]
                 assert all(rate < floor for rate in rates), (i, floor, max(rates))
                 checked += len(rates)
@@ -411,7 +422,8 @@ def test_culled_pairs_have_every_rate_below_floor():
 
 def test_kept_pairs_skip_only_zero_relative_velocity_at_floor_zero():
     rng = np.random.default_rng(37)
-    params = SimParams()
+    params = SimParams(t_grm=0.0, t_loom=0.0)
     for pos, _, vel in _culling_worlds(rng, params, 20):
         moving_apart = (vel[None, :, :] != vel[:, None, :]).any(axis=-1)
-        assert np.array_equal(per.kept_pairs(pos, vel, params), moving_apart)
+        kept = per.kept_pairs(vel, geo.pair_deltas(pos, params.arena), params)
+        assert np.array_equal(kept, moving_apart)
