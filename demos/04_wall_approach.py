@@ -12,7 +12,6 @@ import numpy as np
 
 from grmsim import dynamics, engine, perception
 from grmsim.dynamics import SimParams
-from grmsim.geometry import min_image_delta
 
 params = SimParams(t_grm=2.0, t_loom=32.0, cva=math.radians(30),
                    p_restart=0.0, horizon_steps=0)
@@ -31,16 +30,19 @@ print(f"mover at 22 mm/s, 15 deg off the wall normal, stop threshold "
       f"{params.t_grm} rad/s, cva {math.degrees(params.cva):.0f} deg\n")
 print("   time   wall distance   strongest GRM")
 for t in range(4000):
-    delta = min_image_delta(world.pos[-1], world.pos[:-1], params.arena)
+    # read the snapshot the step decides on, so the stop step's row shows
+    # the GRM that stopped the mover
+    delta = world.centre[-1, :-1]
     clearance = float(np.hypot(delta[:, 0], delta[:, 1]).min())
     # every pair, so the sub-threshold GRM values printed are exact too
     max_grm = perception.world_summaries(world.pos, world.heading, world.vel, params,
                                          every_pair).max_grm[-1]
-    if t % 40 == 0 or not world.moving[-1]:
+    world, _ = engine.step(world, streams)
+    stopped = not world.moving[-1]
+    if t % 40 == 0 or stopped:
         print(f"  {t * params.dt:5.2f}s   {clearance:9.2f} mm   "
               f"{max_grm:8.3f} rad/s")
-    if not world.moving[-1]:
+    if stopped:
         print(f"\nstopped with {clearance:.2f} mm to spare "
               f"(collision distance {params.collision_distance} mm)")
         break
-    world, _ = engine.step(world, streams)

@@ -1,9 +1,10 @@
 """Encounter classification and safety/mobility metrics.
 
 A stop is a true positive when, extrapolating everyone straight from the
-frozen stop-instant state, at least one of its cause agents would have come
-within the collision distance inside the prediction horizon; otherwise it is
-a false positive.  Stops whose cause is already inside the collision
+stop-instant state its record carries (each cause's displacement and
+relative velocity), at least one of its cause agents would have come within
+the collision distance inside the prediction horizon; otherwise it is a
+false positive.  Stops whose cause is already inside the collision
 distance are excluded from both bins (the imminent contact shows up as a
 collision instead).  Every recorded collision counts two false negatives,
 one per agent involved.
@@ -22,7 +23,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import SimParams
-from .geometry import min_image_delta
 
 
 @dataclass(frozen=True)
@@ -85,14 +85,10 @@ def label_stops(stops: Sequence, params: SimParams) -> list[str]:
     d_coll = params.collision_distance
     labels = []
     for stop in stops:
-        own_pos = stop.frozen_positions[stop.agent]
-        own_vel = stop.frozen_velocities[stop.agent]
-        rel = [(min_image_delta(own_pos, stop.frozen_positions[cause], params.arena),
-                stop.frozen_velocities[cause] - own_vel)
-               for cause in stop.cause_agents]
-        if any(float(p @ p) < d_coll * d_coll for p, _ in rel):
+        if any(float(p @ p) < d_coll * d_coll for p in stop.rel_pos):
             labels.append("excluded")
-        elif any(predict_collision(p, v, d_coll, params.predict_horizon) for p, v in rel):
+        elif any(predict_collision(p, v, d_coll, params.predict_horizon)
+                 for p, v in zip(stop.rel_pos, stop.rel_vel)):
             labels.append("TP")
         else:
             labels.append("FP")

@@ -26,6 +26,14 @@ from .geometry import TWO_PI, min_image_delta, wrap_torus
 RngStream = np.random.Generator
 
 
+def _require_integers(obj, *names: str) -> None:
+    """Reject each named field that is a bool or not a Python or numpy integer."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer")
+
+
 @dataclass(frozen=True)
 class SimParams:
     """Simulation constants.
@@ -54,10 +62,7 @@ class SimParams:
     predict_horizon: float = 2.0
 
     def validate(self) -> "SimParams":
-        for name in ("n_agents", "horizon_steps"):
-            count = getattr(self, name)
-            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer")
+        _require_integers(self, "n_agents", "horizon_steps")
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")

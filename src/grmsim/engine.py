@@ -5,10 +5,10 @@ the agent id, and carries its velocities and centre displacements.  One
 step: flip the stopped agents' restart coins, compute the walking and lucky
 agents' percept summaries from the frozen snapshot, apply the walk/stop
 control, reorient agents that just stopped, advance everyone, then detect
-collisions and encounter transitions on the new positions.  Stop records
-keep the snapshot's position and velocity arrays, because classification
-later needs the state "at the moment of the stop"; a step therefore always
-builds new arrays and never writes into old ones.
+collisions and encounter transitions on the new positions.  A stop record
+keeps its causes' state at the moment of the stop, read from the snapshot's
+``centre`` and ``vel``.  A step never writes into old arrays, so the
+trajectory log of ``run_trial`` keeps each step's arrays uncopied.
 
 Everything is deterministic in (params, seed): each agent consumes
 randomness only from its own stream.
@@ -28,14 +28,14 @@ from .geometry import pair_deltas
 
 @dataclass(frozen=True, eq=False)
 class StopRecord:
-    """A single walk-to-stop transition, with the snapshot that caused it."""
+    """A walk-to-stop transition; row r of ``rel_pos``/``rel_vel`` is cause r by id."""
 
     t: int
     agent: int
     cause_agents: frozenset[int]
     channel: str  # "GRM", "LOOM" or "both"
-    frozen_velocities: np.ndarray  # (n, 2), row = agent
-    frozen_positions: np.ndarray   # (n, 2), row = agent
+    rel_pos: np.ndarray  # (k, 2), world.centre[agent, causes]
+    rel_vel: np.ndarray  # (k, 2), world.vel[causes] - world.vel[agent]
 
 
 @dataclass(frozen=True)
@@ -129,10 +129,10 @@ def step(world: WorldState, rngs: list[RngStream]) -> tuple[WorldState, StepEven
         loom_hit = summary.omega_loom[i] > params.t_loom
         channel = "both" if (grm_hit and loom_hit) else ("GRM" if grm_hit else "LOOM")
         by_grm, by_loom = summary.causes(i)
-        causes = (grm_hit & by_grm) | (loom_hit & by_loom)
+        causes = np.flatnonzero((grm_hit & by_grm) | (loom_hit & by_loom))
         events.stops.append(StopRecord(
-            t=t, agent=i, cause_agents=frozenset(np.flatnonzero(causes).tolist()),
-            channel=channel, frozen_velocities=world.vel, frozen_positions=world.pos))
+            t=t, agent=i, cause_agents=frozenset(causes.tolist()), channel=channel,
+            rel_pos=world.centre[i, causes], rel_vel=world.vel[causes] - world.vel[i]))
 
     centre = pair_deltas(pos, params.arena)
     dist2 = (centre ** 2).sum(axis=-1)

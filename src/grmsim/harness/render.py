@@ -121,49 +121,43 @@ def emit_frames(result: TrialResult, out_dir, stride: int = 100) -> list[Path]:
     scale = 10.0
     size = int(round(params.arena * scale))
     traj = result.trajectory
-    n_steps, n_agents = traj.moving.shape
-    # run_trial numbers agents 0..n-1, so trajectory column == agent ident
-    idents = list(range(n_agents))
-
-    # latest stop per agent, as (t, cause_agents, label) tuples
+    # stops are in time order, so one forward pass keeps each agent's latest
+    # stop before the frame; run_trial numbers agents by trajectory column
     stop_info = list(zip(result.stops, result.stop_labels))
+    latest, seen = {}, 0
 
     written = []
     # one frame per `stride` simulated steps: a T-step log yields T/stride frames
-    for s in range(0, n_steps - 1, stride):
+    for s in range(0, len(traj.pos) - 1, stride):
+        while seen < len(stop_info) and stop_info[seen][0].t < s:
+            latest[stop_info[seen][0].agent] = stop_info[seen]
+            seen += 1
         body = [f'<rect x="0" y="0" width="{size}" height="{size}" fill="#fcfcf8"/>',
                 f'<rect x="0" y="0" width="{size}" height="{size}" fill="none" '
                 'stroke="#999"/>']
         flashing = {ident for c in result.collisions
                     if c.t <= s < c.t + COLLISION_FLASH_STEPS for ident in c.pair}
-        positions = {i: traj.pos[s, i] for i in idents}
-        for i in idents:
-            x, y = positions[i]
+        for i, (x, y) in enumerate(traj.pos[s]):
             grow = 1.6 if i in flashing else 1.0
             body.append(f'<polygon points='
                         f'"{_agent_polygon(x, y, traj.heading[s, i], scale, params.arena, grow)}" '
                         f'fill="{_PALETTE[i % len(_PALETTE)]}" stroke="#333" '
                         'stroke-width="0.8"/>')
-            if traj.moving[s, i] == 0:
-                latest = None
-                for stop, label in stop_info:
-                    if stop.agent == i and stop.t < s:
-                        latest = (stop, label)
-                if latest is not None:
-                    stop, label = latest
-                    color = _LABEL_COLORS.get(label, "#888888")
-                    body.append(f'<circle cx="{x * scale:.2f}" '
-                                f'cy="{(params.arena - y) * scale:.2f}" '
-                                f'r="{2.0 * scale:.1f}" fill="none" '
-                                f'stroke="{color}" stroke-width="2"/>')
-                    for cause in sorted(stop.cause_agents):
-                        cx, cy = positions[cause]
-                        body.append(f'<line x1="{x * scale:.2f}" '
-                                    f'y1="{(params.arena - y) * scale:.2f}" '
-                                    f'x2="{cx * scale:.2f}" '
-                                    f'y2="{(params.arena - cy) * scale:.2f}" '
-                                    f'stroke="{color}" stroke-width="1" '
-                                    'stroke-dasharray="4 3"/>')
+            if traj.moving[s, i] == 0 and i in latest:
+                stop, label = latest[i]
+                color = _LABEL_COLORS.get(label, "#888888")
+                body.append(f'<circle cx="{x * scale:.2f}" '
+                            f'cy="{(params.arena - y) * scale:.2f}" '
+                            f'r="{2.0 * scale:.1f}" fill="none" '
+                            f'stroke="{color}" stroke-width="2"/>')
+                for cause in sorted(stop.cause_agents):
+                    cx, cy = traj.pos[s, cause]
+                    body.append(f'<line x1="{x * scale:.2f}" '
+                                f'y1="{(params.arena - y) * scale:.2f}" '
+                                f'x2="{cx * scale:.2f}" '
+                                f'y2="{(params.arena - cy) * scale:.2f}" '
+                                f'stroke="{color}" stroke-width="1" '
+                                'stroke-dasharray="4 3"/>')
         frame_path = out_dir / f"frame_{s:06d}.svg"
         try:
             frame_path.write_text(_svg_document(size, size, body), encoding="utf-8")

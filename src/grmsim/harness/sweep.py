@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .. import analysis, engine
-from ..dynamics import SimParams
+from ..dynamics import SimParams, _require_integers
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -35,7 +35,7 @@ def _mix64(x: int) -> int:
 
 def derive_seed(base_seed: int, cell_index: int, trial_index: int) -> int:
     """Trial seed from (base, cell, trial): absorb each word, then mix."""
-    h = base_seed & _MASK
+    h = int(base_seed) & _MASK
     for word in (cell_index, trial_index):
         h = _mix64((h + _GOLDEN + word) & _MASK)
     return h
@@ -64,6 +64,7 @@ class SweepGrid:
             raise ValueError("cva_values_deg must lie in [0, 90]")
         if min(self.t_grm_values + self.t_loom_values) < 0.0:
             raise ValueError("threshold values must be non-negative")
+        _require_integers(self, "trials_per_cell", "base_seed")
         if self.trials_per_cell < 1:
             raise ValueError("need at least one trial per cell")
         return self

@@ -2,9 +2,11 @@
 
 The two sweep criteria run the shipped desk-scale grids (5 CVA values, 5
 GRM thresholds or 4 looming thresholds, 10 trials of 2000 steps each) and
-therefore dominate the suite's runtime.
+therefore dominate the suite's runtime.  Their CSVs are pinned by sha256
+like the golden sweeps, which run only 400 steps per trial.
 """
 
+import hashlib
 import math
 import time
 
@@ -23,6 +25,9 @@ from scenario_fixtures import (collision_course_scenario, early_crosser_scenario
 
 BASE = SimParams(horizon_steps=2000)
 CVA_VALUES = (10.0, 30.0, 50.0, 70.0, 90.0)
+# a deliberate behaviour change updates these with tests/test_golden.py's hashes
+GRM_SWEEP_SHA256 = "e2b80fa9c9c64d851c74da5d9d58f03eb32ba135ad66c5e6695208399afa99d1"
+LOOM_SWEEP_SHA256 = "135ac3e9a4ebda0abe99dabfeaf0952ae7468a988f780c7c07b38ca157ba7b9f"
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -211,6 +216,14 @@ def test_criterion_06_looming_inferior(grm_sweep, loom_sweep):
     _report(6, "looming-only mobility trails GRM by >= 0.10 at matched safety",
             ok, f"GRM {grm_best:.3f} vs looming {loom_best:.3f}")
     assert loom_best <= grm_best - 0.10
+
+
+@pytest.mark.slow
+def test_criterion_sweeps_csv_pinned(grm_sweep, loom_sweep, tmp_path):
+    for name, table, want in (("grm", grm_sweep[0], GRM_SWEEP_SHA256),
+                              ("loom", loom_sweep, LOOM_SWEEP_SHA256)):
+        path = emit_csv(table, tmp_path / f"{name}.csv")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want, name
 
 
 def test_criterion_07_false_alarm_fixtures():

@@ -7,6 +7,7 @@ from grmsim import analysis
 from grmsim.analysis import EncounterCounts, Metrics
 from grmsim.dynamics import SimParams
 from grmsim.engine import CollisionRecord, EncounterRecord, StopRecord
+from grmsim.geometry import min_image_delta
 from grmsim.harness.sweep import SweepRow, aggregate_rows
 
 
@@ -28,13 +29,18 @@ def brute_force_predict(p_rel, v_rel, d_coll, horizon, step=1e-4):
     return bool((np.hypot(pts[:, 0], pts[:, 1]) < d_coll).any())
 
 
-def stop_record(agent=0, causes=(1,), positions=None, velocities=None, t=10):
-    """A stop whose snapshot rows are given as lists, row = agent."""
-    positions = positions or [(25.0, 25.0), (30.0, 25.0)]
-    velocities = velocities or [(0.0, 10.0), (-20.0, 0.0)]
-    return StopRecord(t=t, agent=agent, cause_agents=frozenset(causes),
-                      channel="GRM", frozen_velocities=np.array(velocities, dtype=float),
-                      frozen_positions=np.array(positions, dtype=float))
+def stop_record(agent=0, causes=(1,), positions=((25.0, 25.0), (30.0, 25.0)),
+                velocities=((0.0, 10.0), (-20.0, 0.0)), t=10, arena=PARAMS.arena):
+    """A stop whose snapshot rows are given as lists, row = agent.
+
+    The causes' relative state is derived from the rows as the engine
+    records it: minimum-image displacement and relative velocity.
+    """
+    pos, vel = np.array(positions, dtype=float), np.array(velocities, dtype=float)
+    causes = sorted(causes)
+    return StopRecord(t=t, agent=agent, cause_agents=frozenset(causes), channel="GRM",
+                      rel_pos=min_image_delta(pos[agent], pos[causes], arena),
+                      rel_vel=vel[causes] - vel[agent])
 
 
 # ---------------------------------------------------------- predict_collision
@@ -115,13 +121,6 @@ def test_classify_stopped_cause_has_zero_velocity():
     assert label(stop) == "TP"
 
 
-def test_classification_uses_min_image_displacement():
-    # cause just across the arena seam, closing
-    stop = stop_record(positions=[(1.0, 25.0), (48.0, 25.0)],
-                       velocities=[(-10.0, 0.0), (10.0, 0.0)])
-    assert label(stop) == "TP"
-
-
 def test_stop_with_cause_inside_collision_radius_excluded():
     stop = stop_record(positions=[(25.0, 25.0), (25.8, 25.0)],
                        velocities=[(0.0, 10.0), (-20.0, 0.0)])
@@ -141,19 +140,17 @@ def test_excluded_wins_over_an_on_course_cause():
 
 def test_classification_invariant_under_rotation_translation():
     rng = np.random.default_rng(67)
-    base = stop_record(positions=[(25.0, 25.0), (29.0, 26.0)],
-                       velocities=[(0.0, 10.0), (-18.0, -2.0)])
-    reference = label(base, UNWRAPPED)
+    positions = np.array([(25.0, 25.0), (29.0, 26.0)])
+    velocities = np.array([(0.0, 10.0), (-18.0, -2.0)])
+    reference = label(stop_record(positions=positions, velocities=velocities,
+                                  arena=UNWRAPPED.arena), UNWRAPPED)
     for _ in range(50):
         theta = rng.uniform(0, 2 * math.pi)
         shift = rng.uniform(-30, 30, size=2)
         rot = np.array([[math.cos(theta), -math.sin(theta)],
                         [math.sin(theta), math.cos(theta)]])
-        pos = base.frozen_positions @ rot.T + shift
-        vel = base.frozen_velocities @ rot.T
-        moved = StopRecord(t=10, agent=0, cause_agents=frozenset({1}),
-                           channel="GRM", frozen_velocities=vel,
-                           frozen_positions=pos)
+        moved = stop_record(positions=positions @ rot.T + shift,
+                            velocities=velocities @ rot.T, arena=UNWRAPPED.arena)
         assert label(moved, UNWRAPPED) == reference
 
 

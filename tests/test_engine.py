@@ -37,7 +37,8 @@ def test_single_agent_never_stops():
 
 
 def test_step_leaves_previous_world_untouched():
-    # stop records alias the snapshot arrays, so a step must not write into them
+    # run_trial's trajectory log keeps each step's arrays, so a step must not
+    # write into them
     world, _ = collision_course_scenario()
     before = {name: getattr(world, name).copy()
               for name in ("pos", "heading", "speed", "moving", "sigma",
@@ -57,14 +58,30 @@ def test_stop_record_freezes_snapshot_velocities():
     stop = stops[0]
     assert stop.agent == 0 and stop.cause_agents == {1}
     assert stop.channel == "GRM"
-    # the stopping agent's own frozen velocity is its pre-stop walking velocity
-    own = np.asarray(stop.frozen_velocities[0])
-    assert np.linalg.norm(own) == pytest.approx(10.0)
-    # the cause's frozen velocity is its snapshot velocity, not a later one
-    cause = np.asarray(stop.frozen_velocities[1])
-    assert cause == pytest.approx([-20.0, 0.0])
-    # frozen positions are the snapshot positions at the stop step
-    assert stop.frozen_positions[0][0] == pytest.approx(25.0)
+    # the cause's snapshot velocity (-20, 0) less the stopper's pre-stop
+    # walking velocity (0, 10), not a later one
+    assert stop.rel_vel == pytest.approx(np.array([[-20.0, -10.0]]))
+    # the displacement at the stop step, from the starts (25, 22) and (29, 25)
+    elapsed = stop.t * world.params.dt
+    assert stop.rel_pos == pytest.approx(np.array([[4.0 - 20.0 * elapsed,
+                                                   3.0 - 10.0 * elapsed]]))
+
+
+def test_classification_uses_min_image_displacement():
+    # the collision course shifted so that the pair straddles the arena seam
+    world, params = collision_course_scenario()
+    shifted = engine.make_world(wrap_torus(world.pos + (23.0, 0.0), params.arena),
+                                world.heading, world.speed, params)
+    _, [plain], _, _ = run_steps(world, 60)
+    _, stops, _, _ = run_steps(shifted, 60)
+    [stop] = stops
+    assert (stop.t, stop.agent, stop.cause_agents) == (plain.t, 0, {1})
+    # the cause sits across the seam in the unwrapped coordinates ...
+    elapsed = stop.t * params.dt
+    assert wrap_torus(29.0 + 23.0 - 20.0 * elapsed, params.arena) - 48.0 < -25.0
+    # ... but the record holds its nearby minimum image
+    assert stop.rel_pos == pytest.approx(plain.rel_pos)
+    assert analysis.label_stops(stops, params) == ["TP"]
 
 
 def test_stopping_agent_does_not_move_on_stop_step():
@@ -214,6 +231,26 @@ def test_world_carries_velocity_and_centre_displacement():
     assert stops > 0
 
 
+def test_stop_records_carry_snapshot_relative_state():
+    params = config.parse_config(DESK).params
+    init_rng, streams = dynamics.trial_streams(4, params.n_agents)
+    world = engine.make_world(*dynamics.init_agents(params, init_rng), params)
+    stops = 0
+    for _ in range(400):
+        snapshot = world
+        world, events = engine.step(world, streams)
+        for stop in events.stops:
+            causes = sorted(stop.cause_agents)
+            rel_pos = min_image_delta(snapshot.pos[stop.agent], snapshot.pos[causes],
+                                      params.arena)
+            rel_vel = snapshot.vel[causes] - snapshot.vel[stop.agent]
+            for got, want in ((stop.rel_pos, rel_pos), (stop.rel_vel, rel_vel)):
+                assert got.shape == (len(causes), 2)
+                assert got.tobytes() == want.tobytes()
+            stops += 1
+    assert stops > 0
+
+
 def test_restart_coins_drawn_before_perception(monkeypatch):
     # at the percept call every stopped agent has drawn exactly one coin and
     # every walking agent nothing
@@ -248,14 +285,18 @@ def test_every_stop_transition_yields_one_record():
 
 def test_speeds_constant_for_lifetime():
     params = SimParams(horizon_steps=300, t_grm=4.0)
-    init_rng, _ = dynamics.trial_streams(21, params.n_agents)
-    _, _, initial = dynamics.init_agents(params, init_rng)
-    result = engine.run_trial(params, seed=21)
-    # speeds echo through untouched in the stop records' frozen velocities
-    for stop in result.stops:
-        for ident, vel in enumerate(stop.frozen_velocities):
-            speed = math.hypot(*vel)
-            assert speed == pytest.approx(initial[ident]) or speed == 0.0
+    init_rng, streams = dynamics.trial_streams(21, params.n_agents)
+    pos, heading, initial = dynamics.init_agents(params, init_rng)
+    world = engine.make_world(pos, heading, initial, params)
+    stops = 0
+    # speeds echo through untouched in every world's velocities
+    for _ in range(params.horizon_steps):
+        world, events = engine.step(world, streams)
+        stops += len(events.stops)
+        speed = np.hypot(world.vel[:, 0], world.vel[:, 1])
+        assert speed[world.moving] == pytest.approx(initial[world.moving])
+        assert (speed[~world.moving] == 0.0).all()
+    assert stops > 0
 
 
 def test_sentinel_thresholds_give_straight_torus_lines():

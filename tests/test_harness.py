@@ -134,6 +134,11 @@ def test_sweep_rejects_bad_grid_and_workers():
         # distinct floats the CSV prints alike, which its own parser would reject
         with pytest.raises(ValueError, match=f"{name} repeats a value"):
             run_sweep(replace(GRID_1, **{name: (1.0000001, 1.0000002)}), TINY)
+    # the counts must be integers; bools are refused too
+    for name, value in (("trials_per_cell", 1.0), ("trials_per_cell", True),
+                        ("base_seed", 5.0), ("base_seed", False)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            run_sweep(replace(GRID_1, **{name: value}), TINY)
     with pytest.raises(ValueError, match="worker"):
         run_sweep(GRID_1, TINY, workers=0)
 
@@ -171,6 +176,8 @@ def test_derive_seed_deterministic_and_distinct():
     assert derive_seed(42, 3, 7) == derive_seed(42, 3, 7)
     assert derive_seed(42, 3, 7) != derive_seed(43, 3, 7)
     assert all(0 <= s < 2 ** 64 for s in seeds)
+    # a numpy base seed, which SweepGrid.validate accepts, mixes like a Python int
+    assert derive_seed(np.int64(42), 3, 7) == derive_seed(42, 3, 7)
 
 
 # ------------------------------------------------------------------ sweep
@@ -351,14 +358,11 @@ def test_frames_stop_and_collision_glyphs(tmp_path):
     pos = np.array([[[20.0, 20.0], [24.0, 20.0]]] * 4)
     heading = np.zeros((4, 2))
     moving = np.array([[1, 1], [0, 1], [0, 0], [0, 0]])
-    snapshot = pos[0]
     stops = [
         StopRecord(t=0, agent=0, cause_agents=frozenset({1}), channel="GRM",
-                   frozen_velocities=np.array([(10.0, 0.0), (-10.0, 0.0)]),
-                   frozen_positions=snapshot),
+                   rel_pos=np.array([(4.0, 0.0)]), rel_vel=np.array([(-20.0, 0.0)])),
         StopRecord(t=1, agent=1, cause_agents=frozenset({0}), channel="GRM",
-                   frozen_velocities=np.array([(0.0, 0.0), (-10.0, 0.0)]),
-                   frozen_positions=snapshot),
+                   rel_pos=np.array([(-4.0, 0.0)]), rel_vel=np.array([(10.0, 0.0)])),
     ]
     result = TrialResult(
         params=params, seed=0, counts=EncounterCounts(tp=1, fp=1),
