@@ -35,8 +35,8 @@ for t in range(4000):
     delta = world.centre[-1, :-1]
     clearance = float(np.hypot(delta[:, 0], delta[:, 1]).min())
     # every pair, so the sub-threshold GRM values printed are exact too
-    max_grm = perception.world_summaries(world.pos, world.heading, world.vel, params,
-                                         every_pair).max_grm[-1]
+    max_grm = perception.world_summaries(world.pos, world.frames, world.motion.rel_vel,
+                                         params, every_pair).max_grm[-1]
     world, _ = engine.step(world, streams)
     stopped = not world.moving[-1]
     if t % 40 == 0 or stopped:

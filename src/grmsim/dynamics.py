@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,7 +79,7 @@ class SimParams:
             raise ValueError("p_restart must be a probability")
         if not 0.0 <= self.sigma_decay <= 1.0:
             raise ValueError("sigma_decay must be in [0, 1]")
-        if min(self.t_grm, self.t_loom, self.cva, self.sigma_jump,
+        if min(self.t_grm, self.t_loom, self.cva, self.sigma_jump, self.d_eye,
                self.collision_distance, self.predict_horizon) < 0:
             raise ValueError("thresholds and distances must be non-negative")
         if not 0 < self.ipsi_field <= math.pi:
@@ -171,17 +172,29 @@ def decay_sigma(sigma: np.ndarray, stopping: np.ndarray,
     return np.where(stopping, decayed + params.sigma_jump, decayed)
 
 
-def velocity(heading: np.ndarray, speed: np.ndarray, moving: np.ndarray) -> np.ndarray:
-    """World-frame velocities, (n, 2); exactly zero for stopped agents."""
-    unit = np.array((np.cos(heading), np.sin(heading))).T
-    return np.where(moving[:, None], speed[:, None] * unit, 0.0)
+class Motion(NamedTuple):
+    """Read-only step arrays implied by (heading, speed, moving); worlds share them."""
+
+    vel: np.ndarray        # (n, 2), exactly zero for stopped agents
+    disp: np.ndarray       # (n, 2), one step's displacement
+    rel_vel: np.ndarray    # (n, n, 2), vel[j] - vel[i] at row i, column j
+    rel_speed: np.ndarray  # (n, n), the length of rel_vel
 
 
-def advance(pos: np.ndarray, heading: np.ndarray, speed: np.ndarray,
-            moving: np.ndarray, params: SimParams) -> tuple[np.ndarray, np.ndarray]:
-    """New wrapped positions after one time step at the current walk flags, and
-    ``velocity(heading, speed, moving)``, both from one heading unit vector."""
-    step = moving * speed * params.dt
+def motion(heading: np.ndarray, speed: np.ndarray, moving: np.ndarray,
+           params: SimParams) -> Motion:
+    """World-frame velocities, step displacements and pair relative velocities,
+    all from one heading unit vector."""
     unit = np.array((np.cos(heading), np.sin(heading))).T
     vel = np.where(moving[:, None], speed[:, None] * unit, 0.0)
-    return wrap_torus(pos + step[:, None] * unit, params.arena), vel
+    rel_vel = vel[None, :, :] - vel[:, None, :]
+    record = Motion(vel, (moving * speed * params.dt)[:, None] * unit, rel_vel,
+                    np.hypot(rel_vel[..., 0], rel_vel[..., 1]))
+    for array in record:
+        array.flags.writeable = False
+    return record
+
+
+def advance(pos: np.ndarray, disp: np.ndarray, params: SimParams) -> np.ndarray:
+    """New wrapped positions after one step's displacement ``Motion.disp``."""
+    return wrap_torus(pos + disp, params.arena)

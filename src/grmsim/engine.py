@@ -1,14 +1,17 @@
 """Synchronous world stepping and full-trial execution.
 
 The world is a struct of arrays with one row per agent, the row index being
-the agent id, and carries its velocities and centre displacements.  One
-step: flip the stopped agents' restart coins, compute the walking and lucky
-agents' percept summaries from the frozen snapshot, apply the walk/stop
-control, reorient agents that just stopped, advance everyone, then detect
-collisions and encounter transitions on the new positions.  A stop record
-keeps its causes' state at the moment of the stop, read from the snapshot's
-``centre`` and ``vel``.  A step never writes into old arrays, so the
-trajectory log of ``run_trial`` keeps each step's arrays uncopied.
+the agent id.  It carries its pair centre displacements, rebuilt every step,
+its ``dynamics.Motion``, rebuilt when an agent stops or restarts, and its
+``perception.Frames``, rebuilt when an agent stops (headings change only
+then).  One step: flip the stopped agents' restart coins, compute the
+walking and lucky agents' percept summaries from the frozen snapshot, apply
+the walk/stop control, reorient agents that just stopped, advance everyone,
+then detect collisions and encounter transitions on the new positions.  A
+stop record keeps its causes' state at the moment of the stop, read from the
+snapshot's ``centre`` and motion record.  A step never writes into old
+arrays, so the trajectory log of ``run_trial`` keeps each step's arrays
+uncopied.
 
 Everything is deterministic in (params, seed): each agent consumes
 randomness only from its own stream.
@@ -35,7 +38,7 @@ class StopRecord:
     cause_agents: frozenset[int]
     channel: str  # "GRM", "LOOM" or "both"
     rel_pos: np.ndarray  # (k, 2), world.centre[agent, causes]
-    rel_vel: np.ndarray  # (k, 2), world.vel[causes] - world.vel[agent]
+    rel_vel: np.ndarray  # (k, 2), world.motion.rel_vel[agent, causes]
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,8 @@ class WorldState:
     params: SimParams
     contact: np.ndarray  # (n, n) bool
     t_enter: np.ndarray  # (n, n) int
-    vel: np.ndarray      # (n, 2), dynamics.velocity(heading, speed, moving)
+    motion: dynamics.Motion     # dynamics.motion(heading, speed, moving, params)
+    frames: perception.Frames   # perception.body_frames(heading, params)
     centre: np.ndarray   # (n, n, 2), geometry.pair_deltas(pos, arena)
 
 
@@ -90,8 +94,8 @@ def make_world(pos, heading, speed, params: SimParams, moving=True) -> WorldStat
     moving = np.broadcast_to(np.asarray(moving, dtype=bool), n).copy()
     return WorldState(0, pos, heading, speed, moving, np.zeros(n), params,
                       np.zeros((n, n), dtype=bool), np.full((n, n), -1),
-                      dynamics.velocity(heading, speed, moving),
-                      pair_deltas(pos, params.arena))
+                      dynamics.motion(heading, speed, moving, params),
+                      perception.body_frames(heading, params), pair_deltas(pos, params.arena))
 
 
 @functools.lru_cache(maxsize=None)
@@ -113,15 +117,21 @@ def step(world: WorldState, rngs: list[RngStream]) -> tuple[WorldState, StepEven
     # an unlucky stopped agent stays stopped whatever it sees, and a rate below
     # both thresholds changes no decision, so neither is evaluated
     lucky = dynamics.restart_coins(world.moving, params, rngs)
-    pairs = perception.kept_pairs(world.vel, world.centre, params) & (world.moving | lucky)[:, None]
-    summary = perception.world_summaries(world.pos, world.heading, world.vel, params, pairs)
+    pairs = (perception.kept_pairs(world.motion.rel_speed, world.centre, params)
+             & (world.moving | lucky)[:, None])
+    summary = perception.world_summaries(world.pos, world.frames, world.motion.rel_vel,
+                                         params, pairs)
 
     moving = dynamics.control_step(
         world.moving, summary.max_grm, summary.omega_loom, params, lucky)
     stopping = world.moving & ~moving
     heading = dynamics.reorient_on_stop(world.heading, world.sigma, stopping, rngs)
     sigma = dynamics.decay_sigma(world.sigma, stopping, params)
-    pos, vel = dynamics.advance(world.pos, heading, world.speed, moving, params)
+    # velocities change only when an agent stops or restarts, headings only at stops
+    motion = (dynamics.motion(heading, world.speed, moving, params)
+              if (moving != world.moving).any() else world.motion)
+    frames = perception.body_frames(heading, params) if stopping.any() else world.frames
+    pos = dynamics.advance(world.pos, motion.disp, params)
 
     events = StepEvents()
     for i in np.flatnonzero(stopping).tolist():
@@ -132,7 +142,7 @@ def step(world: WorldState, rngs: list[RngStream]) -> tuple[WorldState, StepEven
         causes = np.flatnonzero((grm_hit & by_grm) | (loom_hit & by_loom))
         events.stops.append(StopRecord(
             t=t, agent=i, cause_agents=frozenset(causes.tolist()), channel=channel,
-            rel_pos=world.centre[i, causes], rel_vel=world.vel[causes] - world.vel[i]))
+            rel_pos=world.centre[i, causes], rel_vel=world.motion.rel_vel[i, causes]))
 
     centre = pair_deltas(pos, params.arena)
     dist2 = (centre ** 2).sum(axis=-1)
@@ -151,7 +161,7 @@ def step(world: WorldState, rngs: list[RngStream]) -> tuple[WorldState, StepEven
     t_enter = np.where(seen, np.where(was_open, world.t_enter, t + 1), -1)
 
     new_world = WorldState(t + 1, pos, heading, world.speed, moving, sigma, params,
-                           contact, t_enter, vel, centre)
+                           contact, t_enter, motion, frames, centre)
     return new_world, events
 
 

@@ -12,10 +12,10 @@ the points inside that eye's visual field, and reads two signals off them:
   it lies on, so only bilaterally expanding stimuli register.
 
 The whole world is processed at once as arrays indexed by agent row, with
-(x, y) stacked on the last axis and rotated by one expression that is bitwise
-the per-axis one (see ``world_summaries``).  Each observer's strongest rate
-from each source is kept, so the agents that caused a signal can be read off
-for the observers that stop.
+(x, y) stacked on the last axis.  The rotated body points and observer axes
+depend on headings alone: ``body_frames`` builds them, and the engine reruns
+it only when an agent stops.  Each observer's strongest rate from each source
+is kept, so the agents that caused a signal can be read off for those that stop.
 
 Only the (observer, source) pairs that can matter are evaluated.  A body
 moves rigidly, so every point of a source, seen from either eye, has
@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,27 +94,47 @@ def eye_offsets(d_eye: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _body(d_eye: float, cva: float, ipsi_field: float):
-    """Read-only: (16, 2) body-frame points (outline, then eyes), r (largest body-point
+    """Read-only: (17, 2) body-frame points (outline, eyes, body centre), r (largest body-point
     plus largest eye radius, mm), and the eyes' lower and upper field bounds."""
-    frame = np.concatenate((BODY_OUTLINE, eye_offsets(d_eye)))
+    frame = np.concatenate((BODY_OUTLINE, eye_offsets(d_eye), [(0.0, 0.0)]))
     radius = np.hypot(frame[:, 0], frame[:, 1])
     bounds = np.array([[[-cva], [-ipsi_field]], [[ipsi_field], [cva]]])
     frame.flags.writeable = bounds.flags.writeable = False
-    return frame, float(radius[:-2].max() + radius[-2:].max()), bounds[0], bounds[1]
+    return frame, float(radius[:-3].max() + radius[-3:-1].max()), bounds[0], bounds[1]
 
 
-def kept_pairs(vel: np.ndarray, centre: np.ndarray, params: SimParams) -> np.ndarray:
+class Frames(NamedTuple):
+    """Shared, read-only: agent k's frame point p sits at (pos[k] + ax[k, p]) - by[k, p]."""
+
+    axes: np.ndarray  # (2, n), each observer's forward unit vector (x, y)
+    ax: np.ndarray    # (n, 17, 2), (ca, sa) fx
+    by: np.ndarray    # (n, 17, 2), (sa, -ca) fy
+
+
+def body_frames(heading: np.ndarray, params: SimParams) -> Frames:
+    """Frames from ca, sa = cos, sin of heading - pi/2; the forward axis is (-sa, ca).
+    ``(pos + (ca, sa) fx) - (sa, -ca) fy`` is bitwise the per-axis
+    ``x + ca fx - sa fy`` and ``y + sa fx + ca fy``, as ``(-c) y == -(c y)``
+    and ``x - (-y) == x + y`` exactly in IEEE-754."""
+    ca, sa = np.cos(heading - math.pi / 2.0), np.sin(heading - math.pi / 2.0)
+    frame = _body(params.d_eye, params.cva, params.ipsi_field)[0]
+    frames = Frames(np.array((-sa, ca)), np.array((ca, sa)).T[:, None, :] * frame[:, :1],
+                    np.array((sa, -ca)).T[:, None, :] * frame[:, 1:])
+    for array in frames:
+        array.flags.writeable = False
+    return frames
+
+
+def kept_pairs(rel_speed: np.ndarray, centre: np.ndarray, params: SimParams) -> np.ndarray:
     """(n, n) mask of the (observer, source) pairs whose rates may reach the floor.
 
-    ``centre`` is ``pair_deltas(pos, arena)``.  The floor is
-    min(T_grm, T_loom).  A pair is dropped when its bound v / (c - r) on
-    every point's rate is safely below the floor, and always when its
-    relative speed v is 0: its rates are then exactly 0.  Self pairs are
-    among those.
+    ``rel_speed`` is ``Motion.rel_speed`` and ``centre`` is
+    ``pair_deltas(pos, arena)``.  The floor is min(T_grm, T_loom).  A pair is
+    dropped when its bound v / (c - r) on every point's rate is safely below
+    the floor, and always when its relative speed v is 0: its rates are then
+    exactly 0.  Self pairs are among those.
     """
     floor = min(params.t_grm, params.t_loom)
-    rel = vel[None, :, :] - vel[:, None, :]
-    v = np.hypot(rel[..., 0], rel[..., 1])
     # The margins make a dropped pair's rates provably smaller than floor.
     # The absolute one, far above the ~1e-14 mm rounding of point positions,
     # keeps the gap below every eye-to-point distance; the relative one
@@ -122,57 +143,53 @@ def kept_pairs(vel: np.ndarray, centre: np.ndarray, params: SimParams) -> np.nda
     # nor tie with one as a cause.
     reach = _body(params.d_eye, params.cva, params.ipsi_field)[1]
     gap = np.hypot(centre[..., 0], centre[..., 1]) - (reach + 1e-9 * params.arena)
-    return (v > 0.0) & (v >= floor * (1.0 - 1e-9) * gap)
+    return (rel_speed > 0.0) & (rel_speed >= floor * (1.0 - 1e-9) * gap)
 
 
-def world_summaries(pos: np.ndarray, heading: np.ndarray, vel: np.ndarray,
+def world_summaries(pos: np.ndarray, frames: Frames, rel_vel: np.ndarray,
                     params: SimParams, pairs: np.ndarray) -> PerceptSummary:
     """Percept summary for every agent against one frozen snapshot.
 
-    ``pos`` and ``vel`` are (n, 2), ``heading`` is (n,); row i is agent i.
+    ``pos`` is (n, 2), row i being agent i; ``frames`` is
+    ``body_frames(heading, params)`` and ``rel_vel`` is ``Motion.rel_vel``.
     Only the (observer, source) pairs in the (n, n) bool mask ``pairs`` are
     evaluated; every other entry is 0.  An observer sees neither its own body
     nor a point on an eye center, and a source at zero relative velocity has
     rates of exactly 0, so ``np.ones((n, n), bool)`` gives every signal exact.
 
-    Body points and eyes enter the world frame by one expression over both
-    axes, ``(pos + (ca, sa) fx) - (sa, -ca) fy``: bitwise the per-axis
-    ``x + ca fx - sa fy`` and ``y + sa fx + ca fy``, as ``(-c) y == -(c y)``
-    and ``x - (-y) == x + y`` exactly in IEEE-754.
+    The eyes and the body centre are the three viewpoints of one pass.  The
+    centre is ``pos`` exactly (zero offsets), and its left coordinate
+    ``(-sa) by - ca bx`` is exactly ``-(ca bx + sa by)``: the side of the spine.
     """
     n = len(pos)
     by_source = np.zeros((3, n, n))
     ii, jj = np.nonzero(pairs)
     if len(ii):
-        ca, sa = np.cos(heading - math.pi / 2.0), np.sin(heading - math.pi / 2.0)
-        frame, _, lo, hi = _body(params.d_eye, params.cva, params.ipsi_field)
-        world = ((pos[:, None, :] + np.array((ca, sa)).T[:, None, :] * frame[:, :1])
-                 - np.array((sa, -ca)).T[:, None, :] * frame[:, 1:])  # (n, 16, 2)
-        points, eyes = world[:, :len(BODY_OUTLINE)], world[:, len(BODY_OUTLINE):]
+        lo, hi = _body(params.d_eye, params.cva, params.ipsi_field)[2:]
+        world = (pos[:, None, :] + frames.ax) - frames.by  # (n, 17, 2)
 
-        # (pair, eye, point, axis) displacements from each observer eye to the source
-        d = _min_image(points[jj, None] - eyes[ii, :, None], params.arena)
+        # (pair, viewpoint, point, axis): observer left eye, right eye, centre to source
+        d = _min_image(world[jj, None, :-3] - world[ii, -3:, None], params.arena)
         dx, dy = d[..., 0], d[..., 1]
-        d2 = dx * dx + dy * dy
-
-        # observer frame: forward is the heading (-sa, ca), left its CCW normal
-        hx, hy = -sa[ii, None, None], ca[ii, None, None]
-        phi = np.arctan2(hx * dy - hy * dx, hx * dx + hy * dy)
+        # observer frame: forward is the heading, left its CCW normal
+        hx, hy = frames.axes[:, ii, None, None]
+        left = hx * dy - hy * dx
+        ex, ey = dx[:, :2], dy[:, :2]
+        d2 = ex * ex + ey * ey
+        phi = np.arctan2(left[:, :2], hx * ex + hy * ey)
         seen = (phi >= lo) & (phi <= hi) & (d2 > 0.0)
 
-        rv = (vel[jj] - vel[ii])[:, None, None]
-        rate = np.divide(rv[..., 1] * dx - rv[..., 0] * dy, d2,
+        rv = rel_vel[ii, jj][:, None, None]
+        rate = np.divide(rv[..., 1] * ex - rv[..., 0] * ey, d2,
                          out=np.zeros_like(d2), where=seen)
 
         # left eye (index 0) reads clockwise, right eye (index 1) counter-clockwise
         grm = np.maximum(-rate[:, 0], rate[:, 1]).max(axis=1)
 
-        # hemifield: side of the observer's spine, by the lateral body-frame
-        # coordinate of the point about the body center; 0 is neither side
-        b = _min_image(points[jj] - pos[ii, None], params.arena)  # (pair, point, axis)
-        lateral = (ca[ii, None] * b[..., 0] + sa[ii, None] * b[..., 1])[:, None]  # right > 0
-        ccw = np.where(lateral < 0.0, rate, 0.0).max(axis=(1, 2))
-        cw = np.where(lateral > 0.0, -rate, 0.0).max(axis=(1, 2))
+        # hemifield: side of the observer's spine, left > 0; 0 is neither side
+        side = left[:, 2:]
+        ccw = np.where(side > 0.0, rate, 0.0).max(axis=(1, 2))
+        cw = np.where(side < 0.0, -rate, 0.0).max(axis=(1, 2))
         by_source[:, ii, jj] = np.maximum((grm, ccw, cw), 0.0)
 
     best = by_source.max(axis=2)

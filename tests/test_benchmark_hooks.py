@@ -30,6 +30,9 @@ def test_every_wrapped_function_records_a_span(monkeypatch, tmp_path):
         sweep.emit_csv(sweep.run_sweep(grid, params, workers=1), tmp_path / "sweep.csv")
     for name in recorder.names:
         assert recorder.mask(name).any(), name
+    # observers x (two eyes + body centre) x sources x body points, per call:
+    # a percept hook counting from another first argument would miss this
+    calls = int(recorder.mask("perception.world_summaries").sum())
     elements = sum(v for (_, key), v in recorder.counts.items() if key == "elements")
-    assert elements > 0
+    assert calls > 0 and elements == calls * 3 * 10 ** 2 * 14
     assert engine.step.__module__ == "grmsim.engine"  # the wrappers are gone

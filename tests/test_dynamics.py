@@ -215,10 +215,9 @@ def test_reorientation_only_touches_stopping_rows():
 # ------------------------------------------------------------------ advance
 
 def advance_one(x, y, heading, speed, moving, params):
-    pos, vel = dyn.advance(np.array([[x, y]]), np.array([heading]), np.array([speed]),
-                           np.array([moving]), params)
-    assert np.array_equal(vel, dyn.velocity(np.array([heading]), np.array([speed]),
-                                            np.array([moving])))
+    record = dyn.motion(np.array([heading]), np.array([speed]), np.array([moving]), params)
+    pos = dyn.advance(np.array([[x, y]]), record.disp, params)
+    assert record.disp == pytest.approx(record.vel * params.dt)
     return pos[0]
 
 
@@ -240,7 +239,7 @@ def test_advance_wraps_at_boundary():
 
 
 def test_velocity_zero_when_stopped():
-    vel = dyn.velocity(np.array([0.0, math.pi / 2]), np.array([20.0, 10.0]),
-                       np.array([True, False]))
+    vel = dyn.motion(np.array([0.0, math.pi / 2]), np.array([20.0, 10.0]),
+                     np.array([True, False]), SimParams()).vel
     assert vel[0] == pytest.approx([20.0, 0.0])
     assert np.array_equal(vel[1], [0.0, 0.0])

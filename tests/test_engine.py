@@ -101,8 +101,8 @@ def test_synchronous_update_uses_snapshot_percepts():
     # moving both agents by hand one step and recomputing percepts gives the
     # same stop decision the engine made from the frozen snapshot
     world, params = collision_course_scenario()
-    summary = perception.world_summaries(world.pos, world.heading, world.vel, params,
-                                         np.ones((2, 2), bool))
+    summary = perception.world_summaries(world.pos, world.frames, world.motion.rel_vel,
+                                         params, np.ones((2, 2), bool))
     streams = dynamics.trial_streams(0, 2)[1]
     _, ev = engine.step(world, streams)
     should_stop = summary.max_grm[0] > params.t_grm
@@ -200,15 +200,16 @@ def test_pair_culling_leaves_trials_unchanged(monkeypatch, n_agents, t_grm, t_lo
     exact_summaries = perception.world_summaries
     skipped, emptied_rows = 0, 0
 
-    def every_pair(pos, heading, vel, params, pairs):
+    def every_pair(pos, frames, rel_vel, params, pairs):
         nonlocal skipped, emptied_rows
-        moving_apart = (vel[None, :, :] != vel[:, None, :]).any(axis=-1)
+        moving_apart = rel_vel.any(axis=-1)
         skipped += int((moving_apart & ~pairs).sum())
         # rows the cull alone keeps, left empty by the observer mask
-        kept = perception.kept_pairs(vel, pair_deltas(pos, params.arena), params)
+        rel_speed = np.hypot(rel_vel[..., 0], rel_vel[..., 1])
+        kept = perception.kept_pairs(rel_speed, pair_deltas(pos, params.arena), params)
         emptied_rows += int((kept.any(axis=1) & ~pairs.any(axis=1)).sum())
         n = len(pos)
-        return exact_summaries(pos, heading, vel, params, np.ones((n, n), bool))
+        return exact_summaries(pos, frames, rel_vel, params, np.ones((n, n), bool))
 
     monkeypatch.setattr(perception, "world_summaries", every_pair)
     exact = engine.run_trial(params, seed)
@@ -216,19 +217,50 @@ def test_pair_culling_leaves_trials_unchanged(monkeypatch, n_agents, t_grm, t_lo
     assert culled.stops and _trial_outputs(culled) == _trial_outputs(exact)
 
 
+def _desk_and_crowd_worlds():
+    """Every world of a whole desk trial (seed 4) and of a whole N=30 crowd trial
+    (T_grm 1, T_loom 4, seed 0, where restarts are frequent), step 0 first."""
+    desk = config.parse_config(DESK).params
+    for params, seed in ((desk, 4), (replace(desk, n_agents=30, t_grm=1.0, t_loom=4.0), 0)):
+        init_rng, streams = dynamics.trial_streams(seed, params.n_agents)
+        world = engine.make_world(*dynamics.init_agents(params, init_rng), params)
+        yield world
+        for _ in range(params.horizon_steps):
+            world, _ = engine.step(world, streams)
+            yield world
+
+
 def test_world_carries_velocity_and_centre_displacement():
-    params = config.parse_config(DESK).params
-    init_rng, streams = dynamics.trial_streams(4, params.n_agents)
-    world = engine.make_world(*dynamics.init_agents(params, init_rng), params)
-    stops = 0
-    for _ in range(400):
+    # the motion record and the body frames are carried between steps and
+    # rebuilt only at stops and restarts: every world's equal fresh ones
+    stops = restarts_only = 0
+    previous = None
+    for world in _desk_and_crowd_worlds():
+        params = world.params
         assert np.array_equal(world.centre, min_image_delta(
             world.pos[:, None, :], world.pos[None, :, :], params.arena))
-        assert np.array_equal(world.vel, dynamics.velocity(world.heading, world.speed,
-                                                           world.moving))
-        world, events = engine.step(world, streams)
-        stops += len(events.stops)
-    assert stops > 0
+        fresh = (dynamics.motion(world.heading, world.speed, world.moving, params)
+                 + perception.body_frames(world.heading, params))
+        for got, want in zip(world.motion + world.frames, fresh, strict=True):
+            assert np.array_equal(got, want)
+        if world.time_step:
+            stopped = (previous.moving & ~world.moving).any()
+            stops += stopped
+            restarts_only += not stopped and (~previous.moving & world.moving).any()
+        previous = world
+    assert stops > 0 and restarts_only > 0
+
+
+def test_carried_arrays_are_read_only():
+    # consecutive worlds share the motion record and the body frames
+    shared = 0
+    previous = None
+    for world in _desk_and_crowd_worlds():
+        assert not any(a.flags.writeable for a in world.motion + world.frames)
+        if world.time_step:
+            shared += world.motion is previous.motion and world.frames is previous.frames
+        previous = world
+    assert shared > 0
 
 
 def test_stop_records_carry_snapshot_relative_state():
@@ -243,7 +275,7 @@ def test_stop_records_carry_snapshot_relative_state():
             causes = sorted(stop.cause_agents)
             rel_pos = min_image_delta(snapshot.pos[stop.agent], snapshot.pos[causes],
                                       params.arena)
-            rel_vel = snapshot.vel[causes] - snapshot.vel[stop.agent]
+            rel_vel = snapshot.motion.vel[causes] - snapshot.motion.vel[stop.agent]
             for got, want in ((stop.rel_pos, rel_pos), (stop.rel_vel, rel_vel)):
                 assert got.shape == (len(causes), 2)
                 assert got.tobytes() == want.tobytes()
@@ -293,7 +325,7 @@ def test_speeds_constant_for_lifetime():
     for _ in range(params.horizon_steps):
         world, events = engine.step(world, streams)
         stops += len(events.stops)
-        speed = np.hypot(world.vel[:, 0], world.vel[:, 1])
+        speed = np.hypot(world.motion.vel[:, 0], world.motion.vel[:, 1])
         assert speed[world.moving] == pytest.approx(initial[world.moving])
         assert (speed[~world.moving] == 0.0).all()
     assert stops > 0
@@ -317,9 +349,12 @@ def test_sentinel_thresholds_give_straight_torus_lines():
 def test_halving_dt_shifts_stop_time_at_most_one_coarse_step():
     world, _ = collision_course_scenario()
     coarse = fixture_params(t_grm=4.0)
-    _, stops_c, _, _ = run_steps(replace(world, params=coarse), 200)
     fine = replace(coarse, dt=coarse.dt / 2)
-    _, stops_f, _, _ = run_steps(replace(world, params=fine), 400)
+    # a world's step displacements are built from its params' dt
+    _, stops_c, _, _ = run_steps(engine.make_world(
+        world.pos, world.heading, world.speed, coarse, world.moving), 200)
+    _, stops_f, _, _ = run_steps(engine.make_world(
+        world.pos, world.heading, world.speed, fine, world.moving), 400)
     assert stops_c and stops_f
     t_coarse = stops_c[0].t * coarse.dt
     t_fine = stops_f[0].t * fine.dt

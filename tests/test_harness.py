@@ -95,6 +95,7 @@ BAD_CONFIGS = {
     "ignored point count": "n_points = 14\n",
     "cva above 90": GRID_KEYS.replace("= 30", "= 30, 100"),
     "negative cva": GRID_KEYS.replace("= 30", "= -10"),
+    "negative eye distance": "d_eye = -0.55\n",
     "nan grm grid value": GRID_KEYS.replace("t_grm_values = 4", "t_grm_values = nan"),
     "infinite loom grid value": GRID_KEYS.replace("= 32", "= inf"),
     "negative threshold grid value": GRID_KEYS.replace("= 4", "= -1"),

@@ -7,7 +7,7 @@ import pytest
 
 from grmsim import geometry as geo
 from grmsim import perception as per
-from grmsim.dynamics import SimParams, velocity
+from grmsim.dynamics import SimParams, motion
 from percept_oracle import (PointPercept, detect_grm, kernel_row, looming_strength,
                             project_points, summarize)
 
@@ -17,17 +17,36 @@ def snapshot(*rows):
     x, y, heading, speed, moving = (np.array(c) for c in zip(*rows))
     heading = heading.astype(float)
     return (np.column_stack((x, y)).astype(float), heading,
-            velocity(heading, speed.astype(float), moving.astype(bool)))
+            motion(heading, speed.astype(float), moving.astype(bool), SimParams()).vel)
 
 
 def row(x, y, heading, speed=20.0, moving=True):
     return x, y, heading, speed, moving
 
 
+def relative(vel):
+    """(rel_vel, rel_speed) of (n, 2) velocities, as ``dynamics.motion`` builds them."""
+    rel_vel = vel[None, :, :] - vel[:, None, :]
+    return rel_vel, np.hypot(rel_vel[..., 0], rel_vel[..., 1])
+
+
+def summaries(world, params, pairs):
+    """``world_summaries`` of a (pos, heading, vel) snapshot over ``pairs``."""
+    pos, heading, vel = world
+    return per.world_summaries(pos, per.body_frames(heading, params), relative(vel)[0],
+                               params, pairs)
+
+
+def kept(world, params):
+    """``kept_pairs`` of a (pos, heading, vel) snapshot."""
+    pos, _, vel = world
+    return per.kept_pairs(relative(vel)[1], geo.pair_deltas(pos, params.arena), params)
+
+
 def exact_summary(world, params):
     """``world_summaries`` over every (observer, source) pair: exact signals."""
     n = len(world[0])
-    return per.world_summaries(*world, params, np.ones((n, n), bool))
+    return summaries(world, params, np.ones((n, n), bool))
 
 
 def percept(source=1, eye="right", phi=0.0, phi_dot=0.0, phi_body=None, idx=0):
@@ -350,16 +369,15 @@ def test_pair_culling_keeps_every_threshold_decision():
     params = SimParams()
     dropped = high = 0
     for pos, heading, vel in _culling_worlds(rng, params, 40):
-        centre = geo.pair_deltas(pos, params.arena)
         exact = exact_summary((pos, heading, vel), params)
         exact_causes = [exact.causes(i) for i in range(len(pos))]
         moving_apart = (vel[None, :, :] != vel[:, None, :]).any(axis=-1)
         for t_grm, t_loom in itertools.product(FULLSCALE_THRESHOLDS, repeat=2):
             floor = min(t_grm, t_loom)
-            kept = per.kept_pairs(vel, centre, replace(params, t_grm=t_grm, t_loom=t_loom))
-            culled = per.world_summaries(pos, heading, vel, params, kept)
+            pairs = kept((pos, heading, vel), replace(params, t_grm=t_grm, t_loom=t_loom))
+            culled = summaries((pos, heading, vel), params, pairs)
             culled_causes = [culled.causes(i) for i in range(len(pos))]
-            dropped += int((moving_apart & ~kept).sum())
+            dropped += int((moving_apart & ~pairs).sum())
             for signal, channel, threshold in (("max_grm", 0, t_grm),
                                                ("omega_loom", 1, t_loom)):
                 want, got = getattr(exact, signal), getattr(culled, signal)
@@ -387,7 +405,7 @@ def test_pair_mask_keeps_listed_entries_and_zeroes_the_rest():
         full = exact_summary((pos, heading, vel), params)
         for _ in range(2):
             pairs = rng.random((n, n)) < 0.5
-            masked = per.world_summaries(pos, heading, vel, params, pairs)
+            masked = summaries((pos, heading, vel), params, pairs)
             assert np.array_equal(masked.by_source[:, pairs], full.by_source[:, pairs])
             assert np.array_equal(np.signbit(masked.by_source[:, pairs]),
                                   np.signbit(full.by_source[:, pairs]))
@@ -406,14 +424,12 @@ def test_culled_pairs_have_every_rate_below_floor():
     params = SimParams(cva=math.pi / 2, ipsi_field=math.pi)
     checked = 0
     for world in _culling_worlds(rng, params, 30):
-        pos, _, vel = world
-        centre = geo.pair_deltas(pos, params.arena)
-        off_diagonal = ~np.eye(len(pos), dtype=bool)
-        for i in range(len(pos)):
+        off_diagonal = ~np.eye(len(world[0]), dtype=bool)
+        for i in range(len(world[0])):
             percepts = project_points(i, *world, params)
             for floor in FULLSCALE_THRESHOLDS:
                 at_floor = replace(params, t_grm=floor, t_loom=floor)
-                dropped = off_diagonal[i] & ~per.kept_pairs(vel, centre, at_floor)[i]
+                dropped = off_diagonal[i] & ~kept(world, at_floor)[i]
                 rates = [abs(p.phi_dot) for p in percepts if dropped[p.source_agent]]
                 assert all(rate < floor for rate in rates), (i, floor, max(rates))
                 checked += len(rates)
@@ -423,7 +439,7 @@ def test_culled_pairs_have_every_rate_below_floor():
 def test_kept_pairs_skip_only_zero_relative_velocity_at_floor_zero():
     rng = np.random.default_rng(37)
     params = SimParams(t_grm=0.0, t_loom=0.0)
-    for pos, _, vel in _culling_worlds(rng, params, 20):
+    for world in _culling_worlds(rng, params, 20):
+        vel = world[2]
         moving_apart = (vel[None, :, :] != vel[:, None, :]).any(axis=-1)
-        kept = per.kept_pairs(vel, geo.pair_deltas(pos, params.arena), params)
-        assert np.array_equal(kept, moving_apart)
+        assert np.array_equal(kept(world, params), moving_apart)
