@@ -1,17 +1,17 @@
 """Synchronous world stepping and full-trial execution.
 
 The world is a struct of arrays with one row per agent, the row index being
-the agent id.  It carries its pair centre displacements, rebuilt every step,
-its ``dynamics.Motion``, rebuilt when an agent stops or restarts, and its
-``perception.Frames``, rebuilt when an agent stops (headings change only
-then).  One step: flip the stopped agents' restart coins, compute the
-walking and lucky agents' percept summaries from the frozen snapshot, apply
-the walk/stop control, reorient agents that just stopped, advance everyone,
-then detect collisions and encounter transitions on the new positions.  A
-stop record keeps its causes' state at the moment of the stop, read from the
-snapshot's ``centre`` and motion record.  A step never writes into old
-arrays, so the trajectory log of ``run_trial`` keeps each step's arrays
-uncopied.
+the agent id.  It carries its pair centre displacements and their squared
+lengths (one reduction serves the cull and the collision and encounter
+masks), rebuilt every step, its ``dynamics.Motion``, rebuilt at stops and
+restarts, and its ``perception.Frames``, rebuilt at stops.  One step: flip
+the stopped agents' restart coins, compute the walking and lucky agents'
+percept summaries from the frozen snapshot, apply the walk/stop control,
+reorient agents that just stopped, advance everyone, then detect collisions
+and encounter transitions on the new positions.  A stop record keeps its
+causes' state at the moment of the stop, read from the snapshot's
+``centre`` and motion record.  A step never writes into old arrays, so the
+trajectory log of ``run_trial`` keeps each step's arrays uncopied.
 
 Everything is deterministic in (params, seed): each agent consumes
 randomness only from its own stream.
@@ -85,6 +85,7 @@ class WorldState:
     motion: dynamics.Motion     # dynamics.motion(heading, speed, moving, params)
     frames: perception.Frames   # perception.body_frames(heading, params)
     centre: np.ndarray   # (n, n, 2), geometry.pair_deltas(pos, arena)
+    dist2: np.ndarray    # (n, n), (centre ** 2).sum(axis=-1)
 
 
 def make_world(pos, heading, speed, params: SimParams, moving=True) -> WorldState:
@@ -92,10 +93,11 @@ def make_world(pos, heading, speed, params: SimParams, moving=True) -> WorldStat
     pos, heading, speed = (np.array(a, dtype=float) for a in (pos, heading, speed))
     n = len(pos)
     moving = np.broadcast_to(np.asarray(moving, dtype=bool), n).copy()
+    centre = pair_deltas(pos, params.arena)
     return WorldState(0, pos, heading, speed, moving, np.zeros(n), params,
                       np.zeros((n, n), dtype=bool), np.full((n, n), -1),
                       dynamics.motion(heading, speed, moving, params),
-                      perception.body_frames(heading, params), pair_deltas(pos, params.arena))
+                      perception.body_frames(heading, params), centre, (centre ** 2).sum(axis=-1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -117,7 +119,7 @@ def step(world: WorldState, rngs: list[RngStream]) -> tuple[WorldState, StepEven
     # an unlucky stopped agent stays stopped whatever it sees, and a rate below
     # both thresholds changes no decision, so neither is evaluated
     lucky = dynamics.restart_coins(world.moving, params, rngs)
-    pairs = (perception.kept_pairs(world.motion.rel_speed, world.centre, params)
+    pairs = (perception.kept_pairs(world.motion.rel_speed, world.dist2, params)
              & (world.moving | lucky)[:, None])
     summary = perception.world_summaries(world.pos, world.frames, world.motion.rel_vel,
                                          params, pairs)
@@ -161,7 +163,7 @@ def step(world: WorldState, rngs: list[RngStream]) -> tuple[WorldState, StepEven
     t_enter = np.where(seen, np.where(was_open, world.t_enter, t + 1), -1)
 
     new_world = WorldState(t + 1, pos, heading, world.speed, moving, sigma, params,
-                           contact, t_enter, motion, frames, centre)
+                           contact, t_enter, motion, frames, centre, dist2)
     return new_world, events
 
 

@@ -61,13 +61,10 @@ def _parse_scalar(key: str, raw: str, kind):
 
 
 def _parse_list(key: str, raw: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError(f"empty list for {key!r}")
-    try:
-        return tuple(float(p) for p in parts)
+    try:  # float() refuses an empty item, so "10,,30," is no shorter grid
+        return tuple(float(p) for p in raw.split(","))
     except ValueError as exc:
-        raise ConfigError(f"bad list value for {key!r}: {raw!r}") from exc
+        raise ConfigError(f"bad or empty list item for {key!r}: {raw!r}") from exc
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> HarnessConfig:
@@ -105,13 +102,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> HarnessConfig:
         if missing:
             raise ConfigError(f"{origin}: incomplete sweep grid, missing {missing}")
         try:
-            grid = SweepGrid(
-                cva_values_deg=grid_kwargs["cva_values_deg"],
-                t_grm_values=grid_kwargs["t_grm_values"],
-                t_loom_values=grid_kwargs["t_loom_values"],
-                trials_per_cell=grid_kwargs.get("trials_per_cell", 10),
-                base_seed=grid_kwargs.get("base_seed", 0),
-            ).validate()
+            grid = SweepGrid(**grid_kwargs).validate()
         except ValueError as exc:
             raise ConfigError(f"{origin}: {exc}") from exc
     elif any(k in grid_kwargs for k in ("trials_per_cell", "base_seed")):

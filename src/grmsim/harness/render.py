@@ -13,8 +13,10 @@ import math
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
+from .. import perception
 from ..analysis import TrialResult
-from ..perception import BODY_OUTLINE
 
 _PALETTE = ("#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee",
             "#aa3377", "#bbbbbb", "#994455", "#997700", "#004488")
@@ -97,17 +99,6 @@ def emit_scatter_svg(aggregates: Sequence, path, bar_glyph: bool = False) -> Pat
     return path
 
 
-def _agent_polygon(x, y, heading, scale_mm_to_px, arena, grow=1.0) -> str:
-    a = heading - math.pi / 2.0
-    ca, sa = math.cos(a), math.sin(a)
-    pts = []
-    for bx, by in BODY_OUTLINE * grow:
-        wx = x + ca * bx - sa * by
-        wy = y + sa * bx + ca * by
-        pts.append(f"{wx * scale_mm_to_px:.2f},{(arena - wy) * scale_mm_to_px:.2f}")
-    return " ".join(pts)
-
-
 def emit_frames(result: TrialResult, out_dir, stride: int = 100) -> list[Path]:
     """One SVG still every ``stride`` steps from a trajectory-logged trial."""
     if result.trajectory is None:
@@ -137,26 +128,26 @@ def emit_frames(result: TrialResult, out_dir, stride: int = 100) -> list[Path]:
                 'stroke="#999"/>']
         flashing = {ident for c in result.collisions
                     if c.t <= s < c.t + COLLISION_FLASH_STEPS for ident in c.pair}
-        for i, (x, y) in enumerate(traj.pos[s]):
-            grow = 1.6 if i in flashing else 1.0
-            body.append(f'<polygon points='
-                        f'"{_agent_polygon(x, y, traj.heading[s, i], scale, params.arena, grow)}" '
+        grow = np.array([[[1.6 if i in flashing else 1.0]] for i in range(len(traj.pos[s]))])
+        # perception's body frames, colliding bodies enlarged: the outline,
+        # then the two eyes and the body centre, which is the position exactly
+        _, ax, by = perception.body_frames(traj.heading[s], params)
+        world = (traj.pos[s][:, None, :] + ax * grow) - by * grow
+        px, py = world[..., 0] * scale, (params.arena - world[..., 1]) * scale
+        for i in range(len(world)):
+            points = " ".join(f"{u:.2f},{v:.2f}" for u, v in zip(px[i, :-3], py[i, :-3]))
+            body.append(f'<polygon points="{points}" '
                         f'fill="{_PALETTE[i % len(_PALETTE)]}" stroke="#333" '
                         'stroke-width="0.8"/>')
             if traj.moving[s, i] == 0 and i in latest:
                 stop, label = latest[i]
                 color = _LABEL_COLORS.get(label, "#888888")
-                body.append(f'<circle cx="{x * scale:.2f}" '
-                            f'cy="{(params.arena - y) * scale:.2f}" '
-                            f'r="{2.0 * scale:.1f}" fill="none" '
-                            f'stroke="{color}" stroke-width="2"/>')
+                x, y = px[i, -1], py[i, -1]
+                body.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{2.0 * scale:.1f}" '
+                            f'fill="none" stroke="{color}" stroke-width="2"/>')
                 for cause in sorted(stop.cause_agents):
-                    cx, cy = traj.pos[s, cause]
-                    body.append(f'<line x1="{x * scale:.2f}" '
-                                f'y1="{(params.arena - y) * scale:.2f}" '
-                                f'x2="{cx * scale:.2f}" '
-                                f'y2="{(params.arena - cy) * scale:.2f}" '
-                                f'stroke="{color}" stroke-width="1" '
+                    body.append(f'<line x1="{x:.2f}" y1="{y:.2f}" x2="{px[cause, -1]:.2f}" '
+                                f'y2="{py[cause, -1]:.2f}" stroke="{color}" stroke-width="1" '
                                 'stroke-dasharray="4 3"/>')
         frame_path = out_dir / f"frame_{s:06d}.svg"
         try:

@@ -22,8 +22,6 @@ from ..dynamics import SimParams, _require_integers
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-CSV_HEADER = "cva_deg,t_grm,t_loom,trial,seed,tp,fp,tn,fn,mobility,safety"
-
 
 def _mix64(x: int) -> int:
     """SplitMix64 finalizer: avalanching 64-bit bijection."""
@@ -177,25 +175,36 @@ def _format_number(value: float) -> str:
     return f"{value:g}"
 
 
-def _format_metric(value: Optional[float]) -> str:
-    return "" if value is None else f"{value:.6f}"
+def _column(name: str, write, kind, valid, blank: bool = False):
+    def read(text: str):
+        if blank and not text:
+            return None
+        value = kind(text)
+        if not valid(value):
+            raise ValueError(f"{name} {text!r} is not a value emit_csv writes")
+        return value
+    return name, (lambda v: "" if v is None else write(v)) if blank else write, read
 
 
-def _format_count(value: Optional[int]) -> str:
-    return "" if value is None else str(value)
+# The sweep CSV's one format: (field, writer, reader) per column.  A reader
+# refuses what its ``valid`` refuses.  Counts and metrics are blank ("" for
+# None) for a failed trial, and a metric also where it is undefined.
+_COLUMNS = (
+    *(_column(f, _format_number, float, math.isfinite) for f in ("cva_deg", "t_grm", "t_loom")),
+    *(_column(f, str, int, lambda v: v >= 0) for f in ("trial", "seed")),
+    *(_column(f, str, int, lambda v: v >= 0, True) for f in ("tp", "fp", "tn", "fn")),
+    *(_column(f, "{:.6f}".format, float, lambda v: 0.0 <= v <= 1.0, True)
+      for f in ("mobility", "safety")),
+)
+CSV_HEADER = ",".join(name for name, _, _ in _COLUMNS)
 
 
 def emit_csv(table: SweepTable, path) -> Path:
     """Write the per-trial rows; header and formats are part of the contract."""
     path = Path(path)
     lines = [CSV_HEADER]
-    for r in table.rows:
-        lines.append(",".join([
-            _format_number(r.cva_deg), _format_number(r.t_grm),
-            _format_number(r.t_loom), str(r.trial), str(r.seed),
-            _format_count(r.tp), _format_count(r.fp),
-            _format_count(r.tn), _format_count(r.fn),
-            _format_metric(r.mobility), _format_metric(r.safety)]))
+    lines += [",".join(write(getattr(r, name)) for name, write, _ in _COLUMNS)
+              for r in table.rows]
     try:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     except OSError as exc:
@@ -206,8 +215,8 @@ def emit_csv(table: SweepTable, path) -> Path:
 def parse_csv(path) -> SweepTable:
     """Read a sweep CSV back; undefined metrics stay None.
 
-    A second row for one (cell, trial) is rejected: it would count that
-    trial twice in the aggregates.
+    Values ``emit_csv`` cannot write are rejected, and so is a second row for
+    one (cell, trial): it would count that trial twice in the aggregates.
     """
     path = Path(path)
     try:
@@ -220,18 +229,15 @@ def parse_csv(path) -> SweepTable:
     for line in lines[1:]:
         if not line:
             continue
-        f = line.split(",")
-        if len(f) != 11:
+        texts = line.split(",")
+        if len(texts) != len(_COLUMNS):
             raise ValueError(f"{path}: malformed row {line!r}")
-        key = (float(f[0]), float(f[1]), float(f[2]), int(f[3]))
-        if key in seen:
+        try:
+            row = SweepRow(**{name: read(text) for (name, _, read), text in zip(_COLUMNS, texts)})
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad value in row {line!r}: {exc}") from exc
+        if (row.cell(), row.trial) in seen:
             raise ValueError(f"{path}: duplicate (cell, trial) row {line!r}")
-        seen.add(key)
-        rows.append(SweepRow(
-            cva_deg=float(f[0]), t_grm=float(f[1]), t_loom=float(f[2]),
-            trial=int(f[3]), seed=int(f[4]),
-            tp=int(f[5]) if f[5] else None, fp=int(f[6]) if f[6] else None,
-            tn=int(f[7]) if f[7] else None, fn=int(f[8]) if f[8] else None,
-            mobility=float(f[9]) if f[9] else None,
-            safety=float(f[10]) if f[10] else None))
+        seen.add((row.cell(), row.trial))
+        rows.append(row)
     return SweepTable(rows=rows, aggregates=aggregate_rows(rows))

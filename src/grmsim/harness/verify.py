@@ -13,8 +13,7 @@ stream and reporting counterexamples:
 * wall-cone: approaching a wall, some point inside the frontal GRM cone
   exceeds any finite threshold before contact.
 
-``verify_theorems`` bundles them into a report; a deliberately wrong
-angular-velocity convention can be injected to prove the checks can fail.
+``verify_theorems`` bundles them into a report.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -73,15 +71,14 @@ def _fd_rate(rel_pos, rel_vel, dt=1e-6) -> float:
                           - math.atan2(behind[1], behind[0])) / (2.0 * dt)
 
 
-def check_rate_oracle(samples: int, rng: np.random.Generator,
-                      rate_fn: Callable = geo.angular_velocity) -> SuiteResult:
+def check_rate_oracle(samples: int, rng: np.random.Generator) -> SuiteResult:
     bad = []
     for _ in range(samples):
         bearing = rng.uniform(0.0, 2.0 * math.pi)
         radius = rng.uniform(0.1, 100.0)
         rel_pos = radius * np.array([math.cos(bearing), math.sin(bearing)])
         rel_vel = rng.normal(size=2) * 30.0
-        analytic = rate_fn(rel_pos, rel_vel)
+        analytic = geo.angular_velocity(rel_pos, rel_vel)
         numeric = _fd_rate(rel_pos, rel_vel)
         tol = 1e-5 * max(abs(numeric), 1e-4)
         if abs(analytic - numeric) > tol:
@@ -100,8 +97,7 @@ def _random_crossing(rng) -> dict:
     )
 
 
-def check_crossing_signs(samples: int, rng: np.random.Generator,
-                         rate_fn: Callable = geo.angular_velocity) -> SuiteResult:
+def check_crossing_signs(samples: int, rng: np.random.Generator) -> SuiteResult:
     bad = []
     for _ in range(samples):
         base = _random_crossing(rng)
@@ -113,7 +109,7 @@ def check_crossing_signs(samples: int, rng: np.random.Generator,
             if geo.is_regressive(phi, phi_dot) != want:
                 bad.append(f"{s}: regressive != {want}")
             rel_pos, rel_vel = geo.crossing_relative_state(s)
-            generic = rate_fn(rel_pos, rel_vel)
+            generic = geo.angular_velocity(rel_pos, rel_vel)
             if abs(generic - phi_dot) > 1e-9 * max(1.0, abs(phi_dot)):
                 bad.append(f"{s}: closed form {phi_dot:.8g} vs generic {generic:.8g}")
         # second frame: the agent arriving first sees progressive motion
@@ -170,21 +166,14 @@ def check_wall_cone(samples: int, rng: np.random.Generator) -> SuiteResult:
     return SuiteResult("wall-cone", checked, tuple(bad))
 
 
-def verify_theorems(sample_count: int = 1000, seed: int = 0,
-                    report_path=None,
-                    rate_fn: Optional[Callable] = None) -> TheoremReport:
-    """Run all suites with one seeded stream; optionally write the report.
-
-    ``rate_fn`` overrides the angular-velocity implementation under test
-    (used to demonstrate that a flipped convention is caught).
-    """
+def verify_theorems(sample_count: int = 1000, seed: int = 0, report_path=None) -> TheoremReport:
+    """Run all suites with one seeded stream; optionally write the report."""
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
-    rate = rate_fn if rate_fn is not None else geo.angular_velocity
     rng = np.random.default_rng(seed)
     report = TheoremReport(suites=(
-        check_rate_oracle(sample_count, rng, rate),
-        check_crossing_signs(sample_count, rng, rate),
+        check_rate_oracle(sample_count, rng),
+        check_crossing_signs(sample_count, rng),
         check_grm_implication(sample_count, rng),
         check_wall_cone(max(1, sample_count // 10), rng),
     ))

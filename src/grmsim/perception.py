@@ -125,24 +125,24 @@ def body_frames(heading: np.ndarray, params: SimParams) -> Frames:
     return frames
 
 
-def kept_pairs(rel_speed: np.ndarray, centre: np.ndarray, params: SimParams) -> np.ndarray:
+def kept_pairs(rel_speed: np.ndarray, dist2: np.ndarray, params: SimParams) -> np.ndarray:
     """(n, n) mask of the (observer, source) pairs whose rates may reach the floor.
 
-    ``rel_speed`` is ``Motion.rel_speed`` and ``centre`` is
-    ``pair_deltas(pos, arena)``.  The floor is min(T_grm, T_loom).  A pair is
-    dropped when its bound v / (c - r) on every point's rate is safely below
-    the floor, and always when its relative speed v is 0: its rates are then
-    exactly 0.  Self pairs are among those.
+    ``rel_speed`` is ``Motion.rel_speed`` and ``dist2`` the squared centre
+    distances ``WorldState.dist2``.  The floor is min(T_grm, T_loom).  A pair
+    is dropped when its bound v / (c - r) on every point's rate is safely
+    below the floor, and always when its relative speed v is 0: its rates are
+    then exactly 0.  Self pairs are among those.
     """
     floor = min(params.t_grm, params.t_loom)
     # The margins make a dropped pair's rates provably smaller than floor.
-    # The absolute one, far above the ~1e-14 mm rounding of point positions,
-    # keeps the gap below every eye-to-point distance; the relative one
-    # covers the few-ulp rounding of the rate and of the bound, and also
-    # CAUSE_REL_TOL, so a dropped source can neither carry a signal >= floor
-    # nor tie with one as a cause.
+    # The absolute one, far above the ~1e-14 mm rounding of point positions
+    # and of the square root of dist2, keeps the gap below every eye-to-point
+    # distance; the relative one covers the few-ulp rounding of the rate and
+    # of the bound, and also CAUSE_REL_TOL, so a dropped source can neither
+    # carry a signal >= floor nor tie with one as a cause.
     reach = _body(params.d_eye, params.cva, params.ipsi_field)[1]
-    gap = np.hypot(centre[..., 0], centre[..., 1]) - (reach + 1e-9 * params.arena)
+    gap = np.sqrt(dist2) - (reach + 1e-9 * params.arena)
     return (rel_speed > 0.0) & (rel_speed >= floor * (1.0 - 1e-9) * gap)
 
 

@@ -206,7 +206,8 @@ def test_pair_culling_leaves_trials_unchanged(monkeypatch, n_agents, t_grm, t_lo
         skipped += int((moving_apart & ~pairs).sum())
         # rows the cull alone keeps, left empty by the observer mask
         rel_speed = np.hypot(rel_vel[..., 0], rel_vel[..., 1])
-        kept = perception.kept_pairs(rel_speed, pair_deltas(pos, params.arena), params)
+        dist2 = (pair_deltas(pos, params.arena) ** 2).sum(axis=-1)
+        kept = perception.kept_pairs(rel_speed, dist2, params)
         emptied_rows += int((kept.any(axis=1) & ~pairs.any(axis=1)).sum())
         n = len(pos)
         return exact_summaries(pos, frames, rel_vel, params, np.ones((n, n), bool))
@@ -239,6 +240,7 @@ def test_world_carries_velocity_and_centre_displacement():
         params = world.params
         assert np.array_equal(world.centre, min_image_delta(
             world.pos[:, None, :], world.pos[None, :, :], params.arena))
+        assert np.array_equal(world.dist2, (world.centre ** 2).sum(-1))
         fresh = (dynamics.motion(world.heading, world.speed, world.moving, params)
                  + perception.body_frames(world.heading, params))
         for got, want in zip(world.motion + world.frames, fresh, strict=True):

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import pathlib
 import time
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -100,6 +102,7 @@ BAD_CONFIGS = {
     "infinite loom grid value": GRID_KEYS.replace("= 32", "= inf"),
     "negative threshold grid value": GRID_KEYS.replace("= 4", "= -1"),
     "repeated grid value": GRID_KEYS.replace("= 30", "= 30, 30"),
+    "empty grid list item": GRID_KEYS.replace("= 30", "= 10,,30,"),
     "repeated key": "T_grm = 6\nT_grm = 4\n",
     "zero workers": "workers = 0\n",
     "workers key": "workers = 2\n",
@@ -296,11 +299,45 @@ def test_parse_csv_rejects_duplicate_cell_trial_rows(tmp_path, capsys):
     assert not (tmp_path / "p.svg").exists()
 
 
-def test_parse_csv_rejects_garbage(tmp_path):
+CSV_GOOD_ROW = "30,4,32,1,456,3,1,5,2,0.750000,0.600000"
+# rows emit_csv can never write, each with one bad field
+CSV_BAD_ROWS = {
+    "nan cva": "nan,4,32,0,123,3,1,5,2,0.750000,0.600000",
+    "infinite threshold": "30,inf,32,0,123,3,1,5,2,0.750000,0.600000",
+    "infinite mobility": "30,4,32,0,123,3,1,5,2,inf,0.600000",
+    "nan mobility": "30,4,32,0,123,3,1,5,2,nan,0.600000",
+    "negative safety": "30,4,32,0,123,3,1,5,2,0.750000,-2.5",
+    "safety above 1": "30,4,32,0,123,3,1,5,2,0.750000,1.5",
+    "negative tp": "30,4,32,0,123,-3,1,5,2,0.750000,0.600000",
+    "negative trial": "30,4,32,-1,123,3,1,5,2,0.750000,0.600000",
+    "negative seed": "30,4,32,0,-123,3,1,5,2,0.750000,0.600000",
+    "blank seed": "30,4,32,0,,3,1,5,2,0.750000,0.600000",
+    "word metric": "30,4,32,0,123,3,1,5,2,abc,0.600000",
+    "fractional count": "30,4,32,0,123,3.5,1,5,2,0.750000,0.600000",
+}
+
+
+def test_parse_csv_rejects_garbage(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("not,a,sweep\n1,2,3\n", encoding="utf-8")
     with pytest.raises(ValueError, match="bad header"):
         parse_csv(bad)
+    # a value the writer cannot produce names the file and the row, and
+    # plot exits 2 without writing an SVG
+    svg = tmp_path / "p.svg"
+    for row in CSV_BAD_ROWS.values():
+        bad.write_text(f"{sweep_mod.CSV_HEADER}\n{CSV_GOOD_ROW}\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as caught:
+            parse_csv(bad)
+        assert str(caught.value).startswith(f"{bad}: bad value in row {row!r}"), row
+        assert cli.main(["plot", str(bad), "--out", str(svg)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and repr(row) in err and "Traceback" not in err
+        assert not svg.exists()
+    # blank counts and metrics are a failed trial's, and stay accepted
+    bad.write_text(f"{sweep_mod.CSV_HEADER}\n30,4,32,0,123,,,,,,\n", encoding="utf-8")
+    (row,) = parse_csv(bad).rows
+    assert (row.tp, row.fp, row.tn, row.fn, row.mobility, row.safety) == (None,) * 6
 
 
 # ------------------------------------------------------------------- SVG
@@ -342,6 +379,23 @@ def test_frames_count_and_content(tmp_path):
     ns = "{http://www.w3.org/2000/svg}"
     root = ET.parse(frames[0]).getroot()
     assert len(root.findall(f".//{ns}polygon")) == params.n_agents
+
+
+# sha256 of the concatenated frames of a 400-step desk trial at stride 1
+# (seed 2: 5 stops and a collision at t=114, so the enlarged bodies and the
+# stop glyphs are covered); any drift in the body rotation changes it
+DESK_FRAMES_SHA256 = "b9424293f51d18a6f5053e118552d527e59e7a15402cf8171d28b1af597d14bb"
+
+
+def test_frames_bytes_pinned(tmp_path):
+    desk = pathlib.Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
+    params = replace(config.parse_config(desk).params, horizon_steps=400)
+    result = engine.run_trial(params, seed=2, log_trajectories=True)
+    assert result.collisions and result.stops
+    frames = emit_frames(result, tmp_path / "frames", stride=1)
+    assert len(frames) == 400
+    digest = hashlib.sha256(b"".join(f.read_bytes() for f in frames)).hexdigest()
+    assert digest == DESK_FRAMES_SHA256
 
 
 def test_frames_require_trajectory(tmp_path):
@@ -398,10 +452,11 @@ def test_verify_minimal_sample_count():
         verify_theorems(sample_count=0)
 
 
-def test_verify_catches_flipped_rotation_convention():
+def test_verify_catches_flipped_rotation_convention(monkeypatch):
     import grmsim.geometry as geo
-    flipped = lambda p, v: -geo.angular_velocity(p, v)
-    report = verify_theorems(sample_count=50, seed=4, rate_fn=flipped)
+    correct = geo.angular_velocity
+    monkeypatch.setattr(geo, "angular_velocity", lambda p, v: -correct(p, v))
+    report = verify_theorems(sample_count=50, seed=4)
     assert not report.passed
     names = {s.name for s in report.suites if not s.passed}
     assert "crossing-signs" in names

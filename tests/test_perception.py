@@ -40,7 +40,8 @@ def summaries(world, params, pairs):
 def kept(world, params):
     """``kept_pairs`` of a (pos, heading, vel) snapshot."""
     pos, _, vel = world
-    return per.kept_pairs(relative(vel)[1], geo.pair_deltas(pos, params.arena), params)
+    dist2 = (geo.pair_deltas(pos, params.arena) ** 2).sum(axis=-1)
+    return per.kept_pairs(relative(vel)[1], dist2, params)
 
 
 def exact_summary(world, params):
