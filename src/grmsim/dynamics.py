@@ -10,6 +10,14 @@ Every random draw comes from an explicitly passed ``numpy.random.Generator``.
 A trial owns one seed; ``trial_streams`` splits it into one independent
 stream for initialization plus one per agent, so each agent's behavior is
 invariant to the order agents are processed in.
+
+A stopped agent flips one restart coin per step, drawn ahead: when it stops
+(after its reorientation draw) or uses a lucky coin without restarting,
+``draw_coins`` draws a block of its coins in one call, rewinds the stream to
+just after the first lucky one and carries that coin's step in ``next_lucky``.
+Each stream is where one coin per stopped step would leave it at the agent's
+next reorientation, so trials are unchanged and a step's coins cost one
+comparison.
 """
 
 from __future__ import annotations
@@ -69,8 +77,6 @@ class SimParams:
                 raise ValueError(f"{f.name} must be finite")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.arena <= 0:
-            raise ValueError("arena side must be positive")
         if self.n_agents < 1:
             raise ValueError("need at least one agent")
         if not 0 < self.v_min <= self.v_max:
@@ -88,6 +94,12 @@ class SimParams:
             raise ValueError("cva must be in [0, pi/2]")
         if self.horizon_steps < 0:
             raise ValueError("horizon_steps must be non-negative")
+        from .perception import frame_radius  # perception imports this module
+        # body points of wrapped positions then differ by less than 1.5 arenas,
+        # the range in which geometry._min_image is exact
+        limit = 4.0 * frame_radius(self.d_eye)
+        if not self.arena > limit:
+            raise ValueError(f"arena side must exceed four body-frame radii ({limit:g} mm)")
         return self
 
 
@@ -128,13 +140,48 @@ def init_agents(params: SimParams, rng: RngStream
     return pos, heading, speed
 
 
-def restart_coins(moving: np.ndarray, params: SimParams, rngs: list[RngStream]) -> np.ndarray:
-    """This step's lucky agents: every stopped agent flips one coin, in row
-    order, and is lucky when it lands below ``p_restart``; walkers draw nothing."""
-    lucky = np.zeros_like(moving)
-    for i in np.flatnonzero(~moving):
-        lucky[i] = rngs[i].random() < params.p_restart
-    return lucky
+def _coin_block(p: float) -> int:
+    """Coins drawn at once: one at p = 1, else enough that a block holds no lucky
+    coin at most one time in 64, capped at 4096 (for p = 0 and tiny p)."""
+    if p >= 1.0:
+        return 1
+    return 4096 if p <= 0.0 else min(4096, math.ceil(math.log(64.0) / -math.log1p(-p)))
+
+
+def draw_coins(t: int, agents: np.ndarray, next_lucky: np.ndarray, params: SimParams,
+               rngs: list[RngStream]) -> np.ndarray:
+    """Read-only ``next_lucky`` with the flagged agents' coins drawn from step t on.
+
+    ``Generator.random(k)`` equals k single draws.  An entry is the step of the
+    agent's next lucky coin (below ``p_restart``), its stream rewound to just
+    after it, or ``~s`` when the block held none, s being the first step whose
+    coin is not drawn yet.
+    """
+    out = next_lucky.copy()
+    k = _coin_block(params.p_restart)
+    for i in np.flatnonzero(agents).tolist():
+        hit = rngs[i].random(k) < params.p_restart
+        first = int(hit.argmax())
+        if hit[first]:
+            if first + 1 < k:
+                rngs[i].bit_generator.advance(first + 1 - k)
+            out[i] = t + first
+        else:
+            out[i] = ~(t + k)
+    out.flags.writeable = False
+    return out
+
+
+def restart_coins(t: int, moving: np.ndarray, next_lucky: np.ndarray, params: SimParams,
+                  rngs: list[RngStream]) -> tuple[np.ndarray, np.ndarray]:
+    """Step t's lucky stopped agents and the carried ``next_lucky`` (see
+    ``draw_coins``); a stopped agent whose entry is ``~t``, as all are ``~0``
+    in a new world, draws its next block first."""
+    stopped = ~moving
+    due = stopped & (next_lucky == ~t)
+    if due.any():
+        next_lucky = draw_coins(t, due, next_lucky, params, rngs)
+    return stopped & (next_lucky == t), next_lucky
 
 
 def control_step(moving: np.ndarray, max_grm: np.ndarray, omega_loom: np.ndarray,

@@ -4,11 +4,15 @@ The world is a struct of arrays with one row per agent, the row index being
 the agent id.  It carries its pair centre displacements and their squared
 lengths (one reduction serves the cull and the collision and encounter
 masks), rebuilt every step, its ``dynamics.Motion``, rebuilt at stops and
-restarts, and its ``perception.Frames``, rebuilt at stops.  One step: flip
-the stopped agents' restart coins, compute the walking and lucky agents'
-percept summaries from the frozen snapshot, apply the walk/stop control,
-reorient agents that just stopped, advance everyone, then detect collisions
-and encounter transitions on the new positions.  A stop record keeps its
+restarts, its ``perception.Frames``, rebuilt at stops, and each agent's next
+lucky restart step ``next_lucky``, its coins drawn ahead and its stream
+rewound to just after that coin, redrawn at stops and at lucky steps without
+a restart.  One step: read the stopped agents' restart coins, compute the
+walking and lucky agents' percept summaries from the frozen snapshot, apply
+the walk/stop control, reorient agents that just stopped and draw their
+coins ahead, advance everyone, then detect collisions and encounter
+transitions on the new positions, building event lists only when a contact
+begins or a pair crosses the perception range.  A stop record keeps its
 causes' state at the moment of the stop, read from the snapshot's
 ``centre`` and motion record.  A step never writes into old arrays, so the
 trajectory log of ``run_trial`` keeps each step's arrays uncopied.
@@ -26,7 +30,7 @@ import numpy as np
 
 from . import analysis, dynamics, perception
 from .dynamics import RngStream, SimParams
-from .geometry import pair_deltas
+from .geometry import pair_deltas, wrap_torus
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,18 +90,24 @@ class WorldState:
     frames: perception.Frames   # perception.body_frames(heading, params)
     centre: np.ndarray   # (n, n, 2), geometry.pair_deltas(pos, arena)
     dist2: np.ndarray    # (n, n), (centre ** 2).sum(axis=-1)
+    next_lucky: np.ndarray  # (n,) int, read-only, see dynamics.draw_coins
 
 
 def make_world(pos, heading, speed, params: SimParams, moving=True) -> WorldState:
-    """Step-0 world from per-agent rows; ``moving`` may be one flag for all."""
-    pos, heading, speed = (np.array(a, dtype=float) for a in (pos, heading, speed))
+    """Step-0 world from per-agent rows; ``moving`` may be one flag for all.
+    Positions are wrapped (in-range ones keep their bits); no coin is drawn yet."""
+    pos = wrap_torus(pos, params.arena)
+    heading, speed = (np.array(a, dtype=float) for a in (heading, speed))
     n = len(pos)
     moving = np.broadcast_to(np.asarray(moving, dtype=bool), n).copy()
+    next_lucky = np.full(n, ~0)
+    next_lucky.flags.writeable = False
     centre = pair_deltas(pos, params.arena)
     return WorldState(0, pos, heading, speed, moving, np.zeros(n), params,
                       np.zeros((n, n), dtype=bool), np.full((n, n), -1),
                       dynamics.motion(heading, speed, moving, params),
-                      perception.body_frames(heading, params), centre, (centre ** 2).sum(axis=-1))
+                      perception.body_frames(heading, params), centre, (centre ** 2).sum(axis=-1),
+                      next_lucky)
 
 
 @functools.lru_cache(maxsize=None)
@@ -118,7 +128,7 @@ def step(world: WorldState, rngs: list[RngStream]) -> tuple[WorldState, StepEven
     t = world.time_step
     # an unlucky stopped agent stays stopped whatever it sees, and a rate below
     # both thresholds changes no decision, so neither is evaluated
-    lucky = dynamics.restart_coins(world.moving, params, rngs)
+    lucky, next_lucky = dynamics.restart_coins(t, world.moving, world.next_lucky, params, rngs)
     pairs = (perception.kept_pairs(world.motion.rel_speed, world.dist2, params)
              & (world.moving | lucky)[:, None])
     summary = perception.world_summaries(world.pos, world.frames, world.motion.rel_vel,
@@ -128,6 +138,10 @@ def step(world: WorldState, rngs: list[RngStream]) -> tuple[WorldState, StepEven
         world.moving, summary.max_grm, summary.omega_loom, params, lucky)
     stopping = world.moving & ~moving
     heading = dynamics.reorient_on_stop(world.heading, world.sigma, stopping, rngs)
+    # the next coins of agents that stop now or stay stopped after a lucky coin
+    redraw = stopping | (lucky & ~moving)
+    if redraw.any():
+        next_lucky = dynamics.draw_coins(t + 1, redraw, next_lucky, params, rngs)
     sigma = dynamics.decay_sigma(world.sigma, stopping, params)
     # velocities change only when an agent stops or restarts, headings only at stops
     motion = (dynamics.motion(heading, world.speed, moving, params)
@@ -152,18 +166,21 @@ def step(world: WorldState, rngs: list[RngStream]) -> tuple[WorldState, StepEven
 
     # collision detection with per-episode debouncing
     contact = upper & (dist2 < params.collision_distance ** 2)
-    events.collisions = [CollisionRecord(t + 1, pair)
-                         for pair in _pairs(contact & ~world.contact)]
+    begun = contact & ~world.contact
+    if begun.any():
+        events.collisions = [CollisionRecord(t + 1, pair) for pair in _pairs(begun)]
 
     # encounter episodes: pairs inside perception range (half the arena)
     seen = upper & (dist2 < (params.arena / 2.0) ** 2)
     was_open = world.t_enter >= 0
-    events.encounters = [EncounterRecord((i, j), int(world.t_enter[i, j]), t + 1)
-                         for i, j in _pairs(was_open & ~seen)]
-    t_enter = np.where(seen, np.where(was_open, world.t_enter, t + 1), -1)
+    t_enter = world.t_enter
+    if (seen != was_open).any():
+        events.encounters = [EncounterRecord((i, j), int(world.t_enter[i, j]), t + 1)
+                             for i, j in _pairs(was_open & ~seen)]
+        t_enter = np.where(seen, np.where(was_open, world.t_enter, t + 1), -1)
 
     new_world = WorldState(t + 1, pos, heading, world.speed, moving, sigma, params,
-                           contact, t_enter, motion, frames, centre, dist2)
+                           contact, t_enter, motion, frames, centre, dist2, next_lucky)
     return new_world, events
 
 

@@ -7,7 +7,13 @@ Conventions used throughout the package:
 * Angular velocities are in rad/s, positive counter-clockwise.
 * The arena is a square torus of side ``R``; displacements between wrapped
   positions use the minimum-image convention with components in
-  ``[-R/2, R/2)`` (ties resolve to ``-R/2``).
+  ``[-R/2, R/2)`` (ties resolve to ``-R/2``).  ``_min_image`` is exact only
+  for raw displacements in ``[-1.5 R, 1.5 R)`` (up to rounding at the ends),
+  and its callers stay well inside: ``min_image_delta`` wraps its inputs,
+  ``engine.make_world`` and ``dynamics.advance`` keep positions wrapped, and
+  ``SimParams.validate`` requires an arena larger than four body-frame radii,
+  so differences of body points (wrapped positions plus or minus that
+  radius) stay in range.
 * ``perp(u, v) = (v, -u)`` (clockwise quarter turn), fixed so that the
   angular velocity of a point at relative position ``x`` moving with
   relative velocity ``v`` is ``<perp(v), x> / |x|^2``.
@@ -40,14 +46,21 @@ def min_image_delta(a, b, side: float) -> np.ndarray:
 
     A tie at exactly side/2 resolves to -side/2 so the map stays single-valued.
     """
-    if side <= 0:
-        raise ValueError("arena side must be positive")
-    return _min_image(np.asarray(b, dtype=float) - np.asarray(a, dtype=float), side)
+    return _min_image(wrap_torus(b, side) - wrap_torus(a, side), side)
 
 
 def _min_image(delta: np.ndarray, side: float) -> np.ndarray:
-    """Minimum image of float displacements, unchecked, for the hot paths."""
-    return np.mod(delta + 0.5 * side, side) - 0.5 * side
+    """Minimum image of float displacements in [-1.5 side, 1.5 side), unchecked.
+
+    Bit for bit ``np.mod(delta + side/2, side) - side/2`` wherever
+    ``x = delta + side/2`` lies in [-side, 2 side), at a fraction of float
+    ``%``'s cost: there ``x + side`` (x < 0) rounds as ``np.mod`` does,
+    ``x - side`` (x >= side) is exact, and ``x + 0.0`` is ``x`` (x is never -0).
+    """
+    x = delta + 0.5 * side
+    x += side * np.subtract(x < 0.0, x >= side, dtype=float)
+    x -= 0.5 * side
+    return x
 
 
 def pair_deltas(pos: np.ndarray, side: float) -> np.ndarray:

@@ -39,6 +39,16 @@ def derive_seed(base_seed: int, cell_index: int, trial_index: int) -> int:
     return h
 
 
+def _valid_cva(value: float) -> bool:
+    """A grid CVA in degrees, for ``SweepGrid.validate`` and the CSV reader."""
+    return 0.0 <= value <= 90.0
+
+
+def _valid_threshold(value: float) -> bool:
+    """A grid threshold in rad/s, for ``SweepGrid.validate`` and the CSV reader."""
+    return 0.0 <= value < math.inf
+
+
 @dataclass(frozen=True)
 class SweepGrid:
     cva_values_deg: tuple[float, ...]
@@ -58,9 +68,9 @@ class SweepGrid:
             # values the CSV prints alike would give one (cell, trial) two rows
             if len({_format_number(v) for v in listed}) < len(listed):
                 raise ValueError(f"{name} repeats a value at the CSV's 6 significant digits")
-        if not all(0.0 <= v <= 90.0 for v in self.cva_values_deg):
+        if not all(map(_valid_cva, self.cva_values_deg)):
             raise ValueError("cva_values_deg must lie in [0, 90]")
-        if min(self.t_grm_values + self.t_loom_values) < 0.0:
+        if not all(map(_valid_threshold, self.t_grm_values + self.t_loom_values)):
             raise ValueError("threshold values must be non-negative")
         _require_integers(self, "trials_per_cell", "base_seed")
         if self.trials_per_cell < 1:
@@ -180,17 +190,19 @@ def _column(name: str, write, kind, valid, blank: bool = False):
         if blank and not text:
             return None
         value = kind(text)
-        if not valid(value):
+        if write(value) != text or not valid(value):
             raise ValueError(f"{name} {text!r} is not a value emit_csv writes")
         return value
     return name, (lambda v: "" if v is None else write(v)) if blank else write, read
 
 
 # The sweep CSV's one format: (field, writer, reader) per column.  A reader
-# refuses what its ``valid`` refuses.  Counts and metrics are blank ("" for
+# takes only text its writer reproduces exactly (no "+3", "1_000" or "30.0")
+# and refuses what its ``valid`` refuses.  Counts and metrics are blank ("" for
 # None) for a failed trial, and a metric also where it is undefined.
 _COLUMNS = (
-    *(_column(f, _format_number, float, math.isfinite) for f in ("cva_deg", "t_grm", "t_loom")),
+    _column("cva_deg", _format_number, float, _valid_cva),
+    *(_column(f, _format_number, float, _valid_threshold) for f in ("t_grm", "t_loom")),
     *(_column(f, str, int, lambda v: v >= 0) for f in ("trial", "seed")),
     *(_column(f, str, int, lambda v: v >= 0, True) for f in ("tp", "fp", "tn", "fn")),
     *(_column(f, "{:.6f}".format, float, lambda v: 0.0 <= v <= 1.0, True)

@@ -92,6 +92,12 @@ def eye_offsets(d_eye: float) -> np.ndarray:
     return np.array([(-d_eye / 2.0, EYE_FORWARD), (d_eye / 2.0, EYE_FORWARD)])
 
 
+def frame_radius(d_eye: float) -> float:
+    """Largest distance of a body-frame point (outline point or eye) from the body centre, mm."""
+    frame = np.concatenate((BODY_OUTLINE, eye_offsets(d_eye)))
+    return float(np.hypot(frame[:, 0], frame[:, 1]).max())
+
+
 @functools.lru_cache(maxsize=None)
 def _body(d_eye: float, cva: float, ipsi_field: float):
     """Read-only: (17, 2) body-frame points (outline, eyes, body centre), r (largest body-point

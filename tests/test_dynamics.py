@@ -11,19 +11,10 @@ STOPPING = np.array([True])
 NOT_STOPPING = np.array([False])
 
 
-class FixedRng:
-    """Stand-in stream with scripted uniform draws."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def random(self):
-        return self.value
-
-
 def control(moving, max_grm=0.0, omega=0.0, *, params, coin=0.9):
-    """Next walk flag of a single agent whose coin (if flipped) reads ``coin``."""
-    lucky = dyn.restart_coins(np.array([moving]), params, [FixedRng(coin)])
+    """Next walk flag of a single agent whose coin (if flipped) reads ``coin``;
+    a coin is lucky below ``p_restart`` (the draws are tested in test_coins.py)."""
+    lucky = np.array([not moving and coin < params.p_restart])
     return bool(dyn.control_step(np.array([moving]), np.array([max_grm]),
                                  np.array([omega]), params, lucky)[0])
 
@@ -40,6 +31,12 @@ def test_params_validation():
         SimParams(p_restart=1.5).validate()
     with pytest.raises(ValueError):
         SimParams(cva=2.0).validate()
+    # body points must differ by less than 1.5 arenas: the arena exceeds four
+    # body-frame radii (1 mm, the snout, or an eye further out)
+    SimParams(arena=4.001).validate()
+    for arena, d_eye in ((4.0, 0.55), (0.0, 0.55), (-50.0, 0.55), (20.0, 10.0)):
+        with pytest.raises(ValueError, match="four body-frame radii"):
+            SimParams(arena=arena, d_eye=d_eye).validate()
     # a count must be an int (Python or numpy), never a float or a bool
     SimParams(n_agents=np.int64(3), horizon_steps=np.int32(5)).validate()
     for field, value in (("n_agents", 10.0), ("horizon_steps", 5.5), ("n_agents", True),
@@ -139,18 +136,24 @@ def test_control_threshold_boundary_is_strict():
     assert not control(False, max_grm=6.0, params=params, coin=0.0)
 
 
-def test_control_flips_one_coin_per_stopped_agent():
-    # walking agents draw nothing; each stopped agent draws once, alarm or not
-    params = SimParams(t_grm=6.0, t_loom=32.0, p_restart=0.5)
+def test_restart_coins_drawn_ahead_by_stopped_agents_only():
+    # walking agents draw nothing; a stopped agent in a new world draws its
+    # coins up to its first lucky one, which sets its next lucky step
+    params = SimParams(p_restart=0.5)
     rngs = [np.random.default_rng(k) for k in range(4)]
     moving = np.array([True, False, False, True])
-    lucky = dyn.restart_coins(moving, params, rngs)
-    dyn.control_step(moving, np.array([0.0, 7.0, 0.0, 7.0]), np.zeros(4), params, lucky)
-    after = [r.random() for r in rngs]
-    fresh = [np.random.default_rng(k) for k in range(4)]
-    coins = [r.random() for r in fresh[1:3]]
-    assert after == [r.random() for r in fresh]
-    assert lucky.tolist() == [False] + [c < params.p_restart for c in coins] + [False]
+    start = np.full(4, ~0)
+    lucky, next_lucky = dyn.restart_coins(0, moving, start, params, rngs)
+    assert not next_lucky.flags.writeable and np.array_equal(start, np.full(4, ~0))
+    for k, stream in enumerate(rngs):
+        fresh = np.random.default_rng(k)
+        if not moving[k]:
+            first = 0
+            while fresh.random() >= params.p_restart:
+                first += 1
+            assert next_lucky[k] == first and lucky[k] == (first == 0)
+        assert stream.bit_generator.state == fresh.bit_generator.state
+    assert not lucky[moving].any()
 
 
 # ------------------------------------------------------------- reorientation

@@ -49,6 +49,18 @@ def test_step_leaves_previous_world_untouched():
         assert np.array_equal(getattr(world, name), value), name
 
 
+def test_make_world_wraps_positions():
+    # in-range positions keep their bits; the others are wrapped into the arena
+    params = SimParams()
+    inside = np.random.default_rng(3).uniform(0.0, params.arena, size=(4, 2))
+    outside = np.array([(55.0, -5.0), (-0.25, 120.5)])
+    world = engine.make_world(np.concatenate((inside, outside)), np.zeros(6),
+                              np.full(6, 10.0), params)
+    assert world.pos[:4].tobytes() == inside.tobytes()
+    assert np.array_equal(world.pos[4:], [(5.0, 45.0), (49.75, 20.5)])
+    assert np.array_equal(world.centre, pair_deltas(world.pos, params.arena))
+
+
 def test_stop_record_freezes_snapshot_velocities():
     world, _ = collision_course_scenario()
     world, stops, collisions, _ = run_steps(world, 60)
@@ -254,13 +266,16 @@ def test_world_carries_velocity_and_centre_displacement():
 
 
 def test_carried_arrays_are_read_only():
-    # consecutive worlds share the motion record and the body frames
+    # consecutive worlds share the motion record, the body frames and the
+    # next lucky steps
     shared = 0
     previous = None
     for world in _desk_and_crowd_worlds():
-        assert not any(a.flags.writeable for a in world.motion + world.frames)
+        assert not any(a.flags.writeable
+                       for a in world.motion + world.frames + (world.next_lucky,))
         if world.time_step:
-            shared += world.motion is previous.motion and world.frames is previous.frames
+            shared += (world.motion is previous.motion and world.frames is previous.frames
+                       and world.next_lucky is previous.next_lucky)
         previous = world
     assert shared > 0
 
@@ -286,12 +301,14 @@ def test_stop_records_carry_snapshot_relative_state():
 
 
 def test_restart_coins_drawn_before_perception(monkeypatch):
-    # at the percept call every stopped agent has drawn exactly one coin and
+    # at the percept call every stopped agent has drawn its coins up to its
+    # first lucky one (the third and the second coin) and
     # every walking agent nothing
     world = world_of([agent(10.0, 10.0, 0.0, 20.0, moving=False),
                       agent(20.0, 30.0, 1.0, 20.0),
-                      agent(40.0, 10.0, 2.0, 20.0, moving=False)], QUIET)
-    streams = dynamics.trial_streams(3, 3)[1]
+                      agent(40.0, 10.0, 2.0, 20.0, moving=False)],
+                     replace(QUIET, p_restart=0.5))
+    streams = dynamics.trial_streams(4, 3)[1]
     states = []
     exact_summaries = perception.world_summaries
 
@@ -300,10 +317,14 @@ def test_restart_coins_drawn_before_perception(monkeypatch):
         return exact_summaries(*args, **kwargs)
 
     monkeypatch.setattr(perception, "world_summaries", record)
-    fresh = dynamics.trial_streams(3, 3)[1]
+    fresh = dynamics.trial_streams(4, 3)[1]
     engine.step(world, streams)
+    firsts = []
     for i in (0, 2):
-        fresh[i].random()
+        firsts.append(1)
+        while fresh[i].random() >= 0.5:
+            firsts[-1] += 1
+    assert firsts == [3, 2]
     assert states == [[r.bit_generator.state for r in fresh]]
 
 

@@ -92,6 +92,7 @@ BAD_CONFIGS = {
     "nan threshold": "T_grm = nan\n",
     "nan step": "dt = nan\n",
     "infinite arena": "R = inf\n",
+    "arena within four body radii": "R = 4\n",
     "negative infinite spread": "delta_sigma_deg = -inf\n",
     "ignored body length": "l = 2\n",
     "ignored point count": "n_points = 14\n",
@@ -314,6 +315,13 @@ CSV_BAD_ROWS = {
     "blank seed": "30,4,32,0,,3,1,5,2,0.750000,0.600000",
     "word metric": "30,4,32,0,123,3,1,5,2,abc,0.600000",
     "fractional count": "30,4,32,0,123,3.5,1,5,2,0.750000,0.600000",
+    # inside the float and int grammars, outside the writer's and the grid's
+    "cva above 90": "200,4,32,0,123,3,1,5,2,0.750000,0.600000",
+    "negative threshold": "30,-4,32,0,123,3,1,5,2,0.750000,0.600000",
+    "underscored seed": "30,4,32,0,1_000,3,1,5,2,0.750000,0.600000",
+    "signed count": "30,4,32,0,123,+3,1,5,2,0.750000,0.600000",
+    "padded cva": "30.0,4,32,0,123,3,1,5,2,0.750000,0.600000",
+    "short metric": "30,4,32,0,123,3,1,5,2,0.75,0.600000",
 }
 
 
