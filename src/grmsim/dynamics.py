@@ -145,7 +145,7 @@ def _coin_block(p: float) -> int:
     coin at most one time in 64, capped at 4096 (for p = 0 and tiny p)."""
     if p >= 1.0:
         return 1
-    return 4096 if p <= 0.0 else min(4096, math.ceil(math.log(64.0) / -math.log1p(-p)))
+    return 4096 if p <= 0.0 else math.ceil(min(4096.0, math.log(64.0) / -math.log1p(-p)))
 
 
 def draw_coins(t: int, agents: np.ndarray, next_lucky: np.ndarray, params: SimParams,
@@ -235,8 +235,7 @@ def motion(heading: np.ndarray, speed: np.ndarray, moving: np.ndarray,
     unit = np.array((np.cos(heading), np.sin(heading))).T
     vel = np.where(moving[:, None], speed[:, None] * unit, 0.0)
     rel_vel = vel[None, :, :] - vel[:, None, :]
-    record = Motion(vel, (moving * speed * params.dt)[:, None] * unit, rel_vel,
-                    np.hypot(rel_vel[..., 0], rel_vel[..., 1]))
+    record = Motion(vel, vel * params.dt, rel_vel, np.hypot(rel_vel[..., 0], rel_vel[..., 1]))
     for array in record:
         array.flags.writeable = False
     return record

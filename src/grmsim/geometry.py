@@ -7,9 +7,9 @@ Conventions used throughout the package:
 * Angular velocities are in rad/s, positive counter-clockwise.
 * The arena is a square torus of side ``R``; displacements between wrapped
   positions use the minimum-image convention with components in
-  ``[-R/2, R/2)`` (ties resolve to ``-R/2``).  ``_min_image`` is exact only
-  for raw displacements in ``[-1.5 R, 1.5 R)`` (up to rounding at the ends),
-  and its callers stay well inside: ``min_image_delta`` wraps its inputs,
+  ``[-R/2, R/2)`` (ties resolve to ``-R/2``).  ``_min_image`` is exact for
+  raw displacements in ``[-1.5 R, 1.5 R)`` only, and its callers stay well
+  inside: ``min_image_delta`` wraps its inputs,
   ``engine.make_world`` and ``dynamics.advance`` keep positions wrapped, and
   ``SimParams.validate`` requires an arena larger than four body-frame radii,
   so differences of body points (wrapped positions plus or minus that
@@ -52,15 +52,10 @@ def min_image_delta(a, b, side: float) -> np.ndarray:
 def _min_image(delta: np.ndarray, side: float) -> np.ndarray:
     """Minimum image of float displacements in [-1.5 side, 1.5 side), unchecked.
 
-    Bit for bit ``np.mod(delta + side/2, side) - side/2`` wherever
-    ``x = delta + side/2`` lies in [-side, 2 side), at a fraction of float
-    ``%``'s cost: there ``x + side`` (x < 0) rounds as ``np.mod`` does,
-    ``x - side`` (x >= side) is exact, and ``x + 0.0`` is ``x`` (x is never -0).
+    ``delta`` itself on [-side/2, side/2), else ``delta - side`` or
+    ``delta + side``, which are exact there (Sterbenz's lemma).
     """
-    x = delta + 0.5 * side
-    x += side * np.subtract(x < 0.0, x >= side, dtype=float)
-    x -= 0.5 * side
-    return x
+    return delta - side * np.subtract(delta >= 0.5 * side, delta < -0.5 * side, dtype=float)
 
 
 def pair_deltas(pos: np.ndarray, side: float) -> np.ndarray:

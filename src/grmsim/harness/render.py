@@ -131,8 +131,8 @@ def emit_frames(result: TrialResult, out_dir, stride: int = 100) -> list[Path]:
         grow = np.array([[[1.6 if i in flashing else 1.0]] for i in range(len(traj.pos[s]))])
         # perception's body frames, colliding bodies enlarged: the outline,
         # then the two eyes and the body centre, which is the position exactly
-        _, ax, by = perception.body_frames(traj.heading[s], params)
-        world = (traj.pos[s][:, None, :] + ax * grow) - by * grow
+        offsets = perception.body_frames(traj.heading[s], params).offsets
+        world = traj.pos[s][:, None, :] + offsets * grow
         px, py = world[..., 0] * scale, (params.arena - world[..., 1]) * scale
         for i in range(len(world)):
             points = " ".join(f"{u:.2f},{v:.2f}" for u, v in zip(px[i, :-3], py[i, :-3]))

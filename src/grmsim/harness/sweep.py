@@ -173,9 +173,8 @@ def run_sweep(grid: SweepGrid, params: SimParams,
     if workers == 1:
         rows = [_run_one(t) for t in tasks]
     else:
-        chunk = max(1, len(tasks) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_one, tasks, chunksize=chunk))
+            rows = list(pool.map(_run_one, tasks))
 
     rows.sort(key=lambda r: (r.cva_deg, r.t_grm, r.t_loom, r.trial))
     return SweepTable(rows=rows, aggregates=aggregate_rows(rows))

@@ -31,7 +31,6 @@ signal below it stays below it, so no stop or restart decision changes.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -110,22 +109,20 @@ def _body(d_eye: float, cva: float, ipsi_field: float):
 
 
 class Frames(NamedTuple):
-    """Shared, read-only: agent k's frame point p sits at (pos[k] + ax[k, p]) - by[k, p]."""
+    """Shared, read-only: agent k's frame point p sits at pos[k] + offsets[k, p]."""
 
-    axes: np.ndarray  # (2, n), each observer's forward unit vector (x, y)
-    ax: np.ndarray    # (n, 17, 2), (ca, sa) fx
-    by: np.ndarray    # (n, 17, 2), (sa, -ca) fy
+    axes: np.ndarray     # (2, n), each observer's forward unit vector (cos h, sin h)
+    offsets: np.ndarray  # (n, 17, 2), the body-frame points rotated to the heading
 
 
 def body_frames(heading: np.ndarray, params: SimParams) -> Frames:
-    """Frames from ca, sa = cos, sin of heading - pi/2; the forward axis is (-sa, ca).
-    ``(pos + (ca, sa) fx) - (sa, -ca) fy`` is bitwise the per-axis
-    ``x + ca fx - sa fy`` and ``y + sa fx + ca fy``, as ``(-c) y == -(c y)``
-    and ``x - (-y) == x + y`` exactly in IEEE-754."""
-    ca, sa = np.cos(heading - math.pi / 2.0), np.sin(heading - math.pi / 2.0)
+    """Frames from the heading's unit vector (cos h, sin h), which the body's +y
+    axis maps to; its +x axis maps to the clockwise normal (sin h, -cos h)."""
+    cos, sin = np.cos(heading), np.sin(heading)
     frame = _body(params.d_eye, params.cva, params.ipsi_field)[0]
-    frames = Frames(np.array((-sa, ca)), np.array((ca, sa)).T[:, None, :] * frame[:, :1],
-                    np.array((sa, -ca)).T[:, None, :] * frame[:, 1:])
+    axes = np.array((cos, sin))
+    right = np.array((sin, -cos))
+    frames = Frames(axes, frame[:, :1] * right.T[:, None, :] + frame[:, 1:] * axes.T[:, None, :])
     for array in frames:
         array.flags.writeable = False
     return frames
@@ -164,15 +161,15 @@ def world_summaries(pos: np.ndarray, frames: Frames, rel_vel: np.ndarray,
     rates of exactly 0, so ``np.ones((n, n), bool)`` gives every signal exact.
 
     The eyes and the body centre are the three viewpoints of one pass.  The
-    centre is ``pos`` exactly (zero offsets), and its left coordinate
-    ``(-sa) by - ca bx`` is exactly ``-(ca bx + sa by)``: the side of the spine.
+    centre is ``pos`` exactly (zero offsets), so its left coordinate is the
+    side of the observer's spine a point lies on.
     """
     n = len(pos)
     by_source = np.zeros((3, n, n))
     ii, jj = np.nonzero(pairs)
     if len(ii):
         lo, hi = _body(params.d_eye, params.cva, params.ipsi_field)[2:]
-        world = (pos[:, None, :] + frames.ax) - frames.by  # (n, 17, 2)
+        world = pos[:, None, :] + frames.offsets  # (n, 17, 2)
 
         # (pair, viewpoint, point, axis): observer left eye, right eye, centre to source
         d = _min_image(world[jj, None, :-3] - world[ii, -3:, None], params.arena)

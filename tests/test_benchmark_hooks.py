@@ -1,13 +1,17 @@
-"""The benchmark's span hooks still wrap functions that the package calls.
+"""The benchmark's span hooks still wrap functions that the package calls,
+and its workloads still give the outputs its reference table records.
 
-``benchmarks/tests`` is not collected by this suite, so without this test a
-signature change that breaks ``benchmarks/run.py --trace 1`` would pass here.
-The benchmark modules are imported as they are, without writing bytecode
-next to them.
+``benchmarks/tests`` is not collected by this suite, so without these tests a
+signature change that breaks ``benchmarks/run.py --trace 1``, or a behaviour
+change that fails the benchmark's reference gate, would pass here.  The
+benchmark modules are imported as they are, without writing bytecode next to
+them.
 """
 
 import pathlib
 import sys
+
+import pytest
 
 from grmsim import engine
 from grmsim.dynamics import SimParams
@@ -16,9 +20,13 @@ from grmsim.harness import sweep
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
 
 
-def test_every_wrapped_function_records_a_span(monkeypatch, tmp_path):
+@pytest.fixture
+def bench(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(BENCH))
+
+
+def test_every_wrapped_function_records_a_span(bench, tmp_path):
     import layers
     from spans import SpanRecorder
 
@@ -36,3 +44,14 @@ def test_every_wrapped_function_records_a_span(monkeypatch, tmp_path):
     elements = sum(v for (_, key), v in recorder.counts.items() if key == "elements")
     assert calls > 0 and elements == calls * 3 * 10 ** 2 * 14
     assert engine.step.__module__ == "grmsim.engine"  # the wrappers are gone
+
+
+@pytest.mark.parametrize("name", ["desk_cell", "crowd_alarm", "fullscale_sample"])
+def test_first_trial_matches_reference(bench, name):
+    import layers
+    import reference
+    import workloads
+
+    params, seed = workloads.make(BENCH.parent, name, 0).trials()[0]
+    result = engine.run_trial(params, seed)
+    assert layers.trial_record(result) == reference.expected(name, 0)["trials"][0]

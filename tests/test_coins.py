@@ -142,3 +142,14 @@ def test_coins_of_agents_stopped_at_step_zero(monkeypatch, p, steps):
     check_work(run, p)
     if p == 0.0:
         assert (np.array([s.coins for s in run.streams[:24]]) == 2 * 4096).all()
+
+
+@pytest.mark.parametrize("p", [5e-324, 1e-310, 1e-300])
+def test_tiny_p_restart_draws_capped_blocks(p):
+    # log(64) / -log1p(-p) overflows to inf below ~1e-308
+    assert dynamics._coin_block(p) == 4096
+
+
+def test_trial_at_subnormal_p_restart():
+    params = replace(SimParams(), p_restart=1e-310, horizon_steps=300)
+    assert engine.run_trial(params, seed=0).stops

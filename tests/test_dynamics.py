@@ -220,7 +220,7 @@ def test_reorientation_only_touches_stopping_rows():
 def advance_one(x, y, heading, speed, moving, params):
     record = dyn.motion(np.array([heading]), np.array([speed]), np.array([moving]), params)
     pos = dyn.advance(np.array([[x, y]]), record.disp, params)
-    assert record.disp == pytest.approx(record.vel * params.dt)
+    assert np.array_equal(record.disp, record.vel * params.dt)
     return pos[0]
 
 

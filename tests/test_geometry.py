@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,30 +41,34 @@ def test_min_image_examples():
     assert np.allclose(geo.min_image_delta((151, -99), (-1, 201), 50.0), (-2.0, 0.0))
 
 
-def _mod_min_image(delta, side):
-    """The float-% minimum image that ``_min_image`` replaces."""
-    return np.mod(delta + 0.5 * side, side) - 0.5 * side
-
-
 @pytest.mark.parametrize("side", [50.0, 1.0, 3.7, 1e-3, 8.0e6])
-def test_min_image_equals_mod_bitwise(side):
-    # wherever delta + side/2 lies in [-side, 2 side), sign bits included:
-    # the ties at +-side/2, +-0 and its neighbours, +-side, the range ends
-    # (+-1.5 side, up to rounding), and random values
+def test_min_image_is_exact(side):
+    # on [-1.5 side, 1.5 side): the ties at +-side/2 and their neighbours,
+    # +-0, +-side, the range ends, subnormals and random values
     h = 0.5 * side
     edges = np.array([h, -h, 0.0, -0.0, side, -side, 1.5 * side, -1.5 * side])
     edges = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
-                            [5e-324, -5e-324]])
-    edges = edges[(edges + h >= -side) & (edges + h < 2.0 * side)]
-    assert len(edges) >= 20 and np.signbit(edges[edges == 0.0]).any()
+                            [5e-324, -5e-324, 2.2e-308, -2.2e-308]])
+    # the range is exact: 1.5 * side may round outside it
+    edges = edges[[-3 * Fraction(side) <= 2 * Fraction(e) < 3 * Fraction(side) for e in edges]]
+    assert len(edges) >= 24 and np.signbit(edges[edges == 0.0]).any()
     values = np.concatenate([edges, np.random.default_rng(5).uniform(
         -1.5 * side, 1.5 * side, 100_000)])
-    got = geo._min_image(values.copy(), side)
-    assert got.view(np.uint64).tolist() == _mod_min_image(values, side).view(np.uint64).tolist()
     # shaped like the perception kernel's (pair, viewpoint, point, axis) array
     block = values[:3 * 14 * 2 * 50].reshape(50, 3, 14, 2)
-    assert np.array_equal(geo._min_image(block, side).view(np.uint64),
-                          _mod_min_image(block, side).view(np.uint64))
+    for delta in (values, block):
+        got = geo._min_image(delta, side)
+        inside = (delta >= -h) & (delta < h)
+        assert np.array_equal(got[inside].view(np.uint64), delta[inside].view(np.uint64))
+        out = [got[~inside].tolist(), delta[~inside].tolist()]
+        shift = got[~inside] - delta[~inside]
+        assert np.all((shift == side) | (shift == -side))
+        # exactly: fsum rounds the sum of the three floats once, so it is 0 only if that sum is
+        assert all(math.fsum((g, -d, -t)) == 0.0 for g, d, t in zip(*out, shift.tolist()))
+        assert np.all((got >= -h) & (got < h))
+    assert np.array_equal(np.signbit(geo._min_image(np.array([0.0, -0.0]), side)),
+                          [False, True])
+    assert geo._min_image(np.array([h, -h]), side).tolist() == [-h, -h]
 
 
 def test_min_image_range_and_consistency():

@@ -37,6 +37,15 @@ def summaries(world, params, pairs):
                                params, pairs)
 
 
+def test_walking_velocity_follows_body_axes():
+    # one heading convention: the motion record and the body frames share (cos h, sin h)
+    heading = np.random.default_rng(2).uniform(0.0, 2.0 * math.pi, 1000)
+    speed = np.full(1000, 17.3)
+    vel = motion(heading, speed, np.ones(1000, bool), SimParams()).vel
+    want = speed[:, None] * per.body_frames(heading, SimParams()).axes.T
+    assert np.array_equal(vel.view(np.uint64), want.view(np.uint64))
+
+
 def kept(world, params):
     """``kept_pairs`` of a (pos, heading, vel) snapshot."""
     pos, _, vel = world
