@@ -11,13 +11,13 @@ A trial owns one seed; ``trial_streams`` splits it into one independent
 stream for initialization plus one per agent, so each agent's behavior is
 invariant to the order agents are processed in.
 
-A stopped agent flips one restart coin per step, drawn ahead: when it stops
-(after its reorientation draw) or uses a lucky coin without restarting,
-``draw_coins`` draws a block of its coins in one call, rewinds the stream to
-just after the first lucky one and carries that coin's step in ``next_lucky``.
-Each stream is where one coin per stopped step would leave it at the agent's
-next reorientation, so trials are unchanged and a step's coins cost one
-comparison.
+A stopped agent flips one restart coin per step, drawn ahead, and
+``restart_coins`` alone decides when: at step t a stopped agent whose carried
+``next_lucky`` entry does not reach t draws a block of its coins from step t on
+in one call, rewinds its stream to just after the first lucky one and carries
+that coin's step.  Each stream is where one coin per stopped step would leave
+it at the agent's next reorientation, so trials are unchanged and a step's
+coins cost one comparison.
 """
 
 from __future__ import annotations
@@ -148,39 +148,32 @@ def _coin_block(p: float) -> int:
     return 4096 if p <= 0.0 else math.ceil(min(4096.0, math.log(64.0) / -math.log1p(-p)))
 
 
-def draw_coins(t: int, agents: np.ndarray, next_lucky: np.ndarray, params: SimParams,
-               rngs: list[RngStream]) -> np.ndarray:
-    """Read-only ``next_lucky`` with the flagged agents' coins drawn from step t on.
-
-    ``Generator.random(k)`` equals k single draws.  An entry is the step of the
-    agent's next lucky coin (below ``p_restart``), its stream rewound to just
-    after it, or ``~s`` when the block held none, s being the first step whose
-    coin is not drawn yet.
-    """
-    out = next_lucky.copy()
-    k = _coin_block(params.p_restart)
-    for i in np.flatnonzero(agents).tolist():
-        hit = rngs[i].random(k) < params.p_restart
-        first = int(hit.argmax())
-        if hit[first]:
-            if first + 1 < k:
-                rngs[i].bit_generator.advance(first + 1 - k)
-            out[i] = t + first
-        else:
-            out[i] = ~(t + k)
-    out.flags.writeable = False
-    return out
-
-
 def restart_coins(t: int, moving: np.ndarray, next_lucky: np.ndarray, params: SimParams,
                   rngs: list[RngStream]) -> tuple[np.ndarray, np.ndarray]:
-    """Step t's lucky stopped agents and the carried ``next_lucky`` (see
-    ``draw_coins``); a stopped agent whose entry is ``~t``, as all are ``~0``
-    in a new world, draws its next block first."""
+    """Step t's lucky stopped agents and the read-only ``next_lucky`` to carry.
+
+    An entry is the step of the agent's next lucky coin (below ``p_restart``),
+    its stream rewound to just after it, or ``~s`` when its block held none, s
+    being the first step whose coin is not drawn yet.  A stopped agent whose
+    entry does not reach t (a spent lucky step, a spent block ``~t`` or a new
+    world's ``~0``) first draws a block of coins from step t on; a block of k
+    coins is one ``Generator.random(k)``, which equals k single draws.
+    """
     stopped = ~moving
-    due = stopped & (next_lucky == ~t)
+    due = stopped & (next_lucky < t) & (~next_lucky <= t)
     if due.any():
-        next_lucky = draw_coins(t, due, next_lucky, params, rngs)
+        next_lucky = next_lucky.copy()
+        k = _coin_block(params.p_restart)
+        for i in np.flatnonzero(due).tolist():
+            hit = rngs[i].random(k) < params.p_restart
+            first = int(hit.argmax())
+            if hit[first]:
+                if first + 1 < k:
+                    rngs[i].bit_generator.advance(first + 1 - k)
+                next_lucky[i] = t + first
+            else:
+                next_lucky[i] = ~(t + k)
+        next_lucky.flags.writeable = False
     return stopped & (next_lucky == t), next_lucky
 
 

@@ -6,16 +6,17 @@ lengths (one reduction serves the cull and the collision and encounter
 masks), rebuilt every step, its ``dynamics.Motion``, rebuilt at stops and
 restarts, its ``perception.Frames``, rebuilt at stops, and each agent's next
 lucky restart step ``next_lucky``, its coins drawn ahead and its stream
-rewound to just after that coin, redrawn at stops and at lucky steps without
-a restart.  One step: read the stopped agents' restart coins, compute the
-walking and lucky agents' percept summaries from the frozen snapshot, apply
-the walk/stop control, reorient agents that just stopped and draw their
-coins ahead, advance everyone, then detect collisions and encounter
-transitions on the new positions, building event lists only when a contact
-begins or a pair crosses the perception range.  A stop record keeps its
-causes' state at the moment of the stop, read from the snapshot's
-``centre`` and motion record.  A step never writes into old arrays, so the
-trajectory log of ``run_trial`` keeps each step's arrays uncopied.
+rewound to just after that coin; ``dynamics.restart_coins`` alone draws
+them.  One step: read the stopped agents' restart coins (a block is drawn
+first for each whose entry is spent), compute the walking and lucky
+agents' percept summaries from the frozen snapshot, apply the walk/stop
+control, reorient agents that just stopped, advance everyone, then detect
+collisions and encounter transitions on the new positions, building event
+lists only when a contact begins or a pair crosses the perception range.
+A stop record keeps its causes' state at the moment of the stop, read from
+the snapshot's ``centre`` and motion record.  A step never writes into old
+arrays, so the trajectory log of ``run_trial`` keeps each step's arrays
+uncopied.
 
 Everything is deterministic in (params, seed): each agent consumes
 randomness only from its own stream.
@@ -90,7 +91,7 @@ class WorldState:
     frames: perception.Frames   # perception.body_frames(heading, params)
     centre: np.ndarray   # (n, n, 2), geometry.pair_deltas(pos, arena)
     dist2: np.ndarray    # (n, n), (centre ** 2).sum(axis=-1)
-    next_lucky: np.ndarray  # (n,) int, read-only, see dynamics.draw_coins
+    next_lucky: np.ndarray  # (n,) int, read-only, see dynamics.restart_coins
 
 
 def make_world(pos, heading, speed, params: SimParams, moving=True) -> WorldState:
@@ -138,10 +139,6 @@ def step(world: WorldState, rngs: list[RngStream]) -> tuple[WorldState, StepEven
         world.moving, summary.max_grm, summary.omega_loom, params, lucky)
     stopping = world.moving & ~moving
     heading = dynamics.reorient_on_stop(world.heading, world.sigma, stopping, rngs)
-    # the next coins of agents that stop now or stay stopped after a lucky coin
-    redraw = stopping | (lucky & ~moving)
-    if redraw.any():
-        next_lucky = dynamics.draw_coins(t + 1, redraw, next_lucky, params, rngs)
     sigma = dynamics.decay_sigma(world.sigma, stopping, params)
     # velocities change only when an agent stops or restarts, headings only at stops
     motion = (dynamics.motion(heading, world.speed, moving, params)

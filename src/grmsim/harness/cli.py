@@ -85,8 +85,11 @@ def _cmd_simulate(args) -> int:
         existing = next(p for p in (args.out, *args.out.parents) if p.exists())
         if not existing.is_dir():
             raise ConfigError(f"--out {args.out}: {existing} is not a directory")
-    result = engine.run_trial(cfg.params, args.seed,
-                              log_trajectories=args.out is not None)
+    try:
+        result = engine.run_trial(cfg.params, args.seed,
+                                  log_trajectories=args.out is not None)
+    except RuntimeError as exc:  # dynamics.init_agents could not place the agents
+        raise ConfigError(str(exc)) from exc
     c, m = result.counts, result.metrics
     fmt = lambda v: "undefined" if v is None else f"{v:.6f}"
     print(f"seed {args.seed}: {cfg.params.horizon_steps} steps, "

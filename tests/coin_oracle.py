@@ -18,10 +18,5 @@ def one_coin_per_step(t, moving, next_lucky, params, rngs):
     return lucky, next_lucky
 
 
-def no_coins_ahead(t, agents, next_lucky, params, rngs):
-    return next_lucky
-
-
 def use_one_coin_per_step(monkeypatch) -> None:
     monkeypatch.setattr(dynamics, "restart_coins", one_coin_per_step)
-    monkeypatch.setattr(dynamics, "draw_coins", no_coins_ahead)

@@ -156,6 +156,32 @@ def test_restart_coins_drawn_ahead_by_stopped_agents_only():
     assert not lucky[moving].any()
 
 
+def test_restart_coins_draw_exactly_when_an_entry_does_not_reach_the_step():
+    # at t = 7: a stale lucky step, a spent block and a new world's entry draw
+    # a block from step 7 on; a lucky step ahead or now, a block reaching past
+    # 7 and a walking agent's stale entry draw nothing
+    t, params = 7, SimParams(p_restart=0.5)
+    k = dyn._coin_block(params.p_restart)
+    entries = np.array([3, ~7, ~0, 9, ~12, 7, 3])
+    moving = np.array([False] * 6 + [True])
+    draws = [True, True, True, False, False, False, False]
+    rngs = [np.random.default_rng(40 + i) for i in range(7)]
+    lucky, next_lucky = dyn.restart_coins(t, moving, entries.copy(), params, rngs)
+    for i, stream in enumerate(rngs):
+        fresh = np.random.default_rng(40 + i)
+        want = entries[i]
+        if draws[i]:
+            want = ~(t + k)
+            for j in range(k):
+                if fresh.random() < params.p_restart:
+                    want = t + j
+                    break
+        assert next_lucky[i] == want, i
+        assert stream.bit_generator.state == fresh.bit_generator.state, i
+        assert lucky[i] == (not moving[i] and want == t), i
+    assert lucky[5] and not lucky[6]
+
+
 # ------------------------------------------------------------- reorientation
 
 def test_first_stop_keeps_heading_and_jumps_sigma():

@@ -1,6 +1,9 @@
 import hashlib
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -580,6 +583,34 @@ def test_cli_sweep_failed_trial_exit_code(tmp_path, capsys):
     assert csv_path.read_text(encoding="utf-8").splitlines() == [
         "cva_deg,t_grm,t_loom,trial,seed,tp,fp,tn,fn,mobility,safety",
         f"30,4,32,0,{seed},,,,,,"]
+
+
+CROWDED_ARENA = "N = 1000\nhorizon_steps = 10\n"
+
+
+def test_cli_simulate_crowded_arena_is_config_error(tmp_path, capsys):
+    # exit 1 is kept for verification counterexamples
+    cfg = tmp_path / "crowded.cfg"
+    cfg.write_text(CROWDED_ARENA, encoding="utf-8")
+    assert cli.main(["simulate", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("configuration error: could not place 1000 agents")
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # `python -m grmsim` runs __main__.py and cli.entry, whose sys.exit sets
+    # the process status
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    cfg = tmp_path / "crowded.cfg"
+    cfg.write_text(CROWDED_ARENA, encoding="utf-8")
+    for argv, code in ((["verify", "--samples", "10"], 0),
+                       (["simulate", "--config", str(cfg)], 2)):
+        done = subprocess.run([sys.executable, "-m", "grmsim", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == code, (argv, done.stderr)
+        assert "Traceback" not in done.stderr, argv
 
 
 def test_cli_plot_header_only_csv_is_config_error(tmp_path, capsys):
