@@ -16,18 +16,26 @@ A stopped agent flips one restart coin per step, drawn ahead, and
 ``next_lucky`` entry does not reach t draws a block of its coins from step t on
 in one call, rewinds its stream to just after the first lucky one and carries
 that coin's step.  Each stream is where one coin per stopped step would leave
-it at the agent's next reorientation, so trials are unchanged and a step's
-coins cost one comparison.
+it at the agent's next reorientation, so trials are unchanged.  It also
+returns the first step at which any stopped agent has a lucky coin or a
+block due; until then, while the walk flags hold, a step's coins cost one
+comparison.
+
+``motion`` builds the arrays that change only when a walk flag does, among
+them each pair's squared cull radius (``cull_reach2``), the one rule for
+which pairs the perception kernel evaluates.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
+from . import perception
 from .geometry import TWO_PI, min_image_delta, wrap_torus
 
 # numpy Generator backed by PCG64: identical seeds give identical draw
@@ -94,10 +102,9 @@ class SimParams:
             raise ValueError("cva must be in [0, pi/2]")
         if self.horizon_steps < 0:
             raise ValueError("horizon_steps must be non-negative")
-        from .perception import frame_radius  # perception imports this module
         # body points of wrapped positions then differ by less than 1.5 arenas,
         # the range in which geometry._min_image is exact
-        limit = 4.0 * frame_radius(self.d_eye)
+        limit = 4.0 * perception.frame_radius(self.d_eye)
         if not self.arena > limit:
             raise ValueError(f"arena side must exceed four body-frame radii ({limit:g} mm)")
         return self
@@ -140,6 +147,16 @@ def init_agents(params: SimParams, rng: RngStream
     return pos, heading, speed
 
 
+# ``restart_coins``' next coin step when no agent is stopped
+NEVER = np.iinfo(np.int64).max
+
+
+@functools.lru_cache(maxsize=None)
+def _no_agents(n: int) -> np.ndarray:
+    """Read-only (n,) all-False mask (``broadcast_to`` views are read-only)."""
+    return np.broadcast_to(False, n)
+
+
 def _coin_block(p: float) -> int:
     """Coins drawn at once: one at p = 1, else enough that a block holds no lucky
     coin at most one time in 64, capped at 4096 (for p = 0 and tiny p)."""
@@ -148,9 +165,11 @@ def _coin_block(p: float) -> int:
     return 4096 if p <= 0.0 else math.ceil(min(4096.0, math.log(64.0) / -math.log1p(-p)))
 
 
-def restart_coins(t: int, moving: np.ndarray, next_lucky: np.ndarray, params: SimParams,
-                  rngs: list[RngStream]) -> tuple[np.ndarray, np.ndarray]:
-    """Step t's lucky stopped agents and the read-only ``next_lucky`` to carry.
+def restart_coins(t: int, moving: np.ndarray, next_lucky: np.ndarray, next_coin: int,
+                  params: SimParams, rngs: list[RngStream]
+                  ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Step t's lucky stopped agents, and the read-only ``next_lucky`` and the
+    ``next_coin`` to carry.
 
     An entry is the step of the agent's next lucky coin (below ``p_restart``),
     its stream rewound to just after it, or ``~s`` when its block held none, s
@@ -158,10 +177,19 @@ def restart_coins(t: int, moving: np.ndarray, next_lucky: np.ndarray, params: Si
     entry does not reach t (a spent lucky step, a spent block ``~t`` or a new
     world's ``~0``) first draws a block of coins from step t on; a block of k
     coins is one ``Generator.random(k)``, which equals k single draws.
+
+    ``next_coin`` is the carried step before which no stopped agent has a
+    lucky coin or a block due: at a t before it the call returns at once,
+    with no agent lucky and nothing drawn.  It holds only while the walk
+    flags stay as they were, so a caller whose flags changed at step t - 1
+    passes t.  The returned one is the first step after t with coin work,
+    or ``NEVER`` when no agent is stopped.
     """
+    if t < next_coin:
+        return _no_agents(len(moving)), next_lucky, next_coin
     stopped = ~moving
     due = stopped & (next_lucky < t) & (~next_lucky <= t)
-    if due.any():
+    if np.count_nonzero(due):
         next_lucky = next_lucky.copy()
         k = _coin_block(params.p_restart)
         for i in np.flatnonzero(due).tolist():
@@ -174,7 +202,9 @@ def restart_coins(t: int, moving: np.ndarray, next_lucky: np.ndarray, params: Si
             else:
                 next_lucky[i] = ~(t + k)
         next_lucky.flags.writeable = False
-    return stopped & (next_lucky == t), next_lucky
+    # every stopped entry now reaches t: a lucky step, or ~s with s > t
+    due_at = np.where(stopped, np.maximum(next_lucky, ~next_lucky), NEVER)
+    return stopped & (next_lucky == t), next_lucky, max(int(due_at.min()), t + 1)
 
 
 def control_step(moving: np.ndarray, max_grm: np.ndarray, omega_loom: np.ndarray,
@@ -215,23 +245,51 @@ def decay_sigma(sigma: np.ndarray, stopping: np.ndarray,
 class Motion(NamedTuple):
     """Read-only step arrays implied by (heading, speed, moving); worlds share them."""
 
-    vel: np.ndarray        # (n, 2), exactly zero for stopped agents
-    disp: np.ndarray       # (n, 2), one step's displacement
-    rel_vel: np.ndarray    # (n, n, 2), vel[j] - vel[i] at row i, column j
-    rel_speed: np.ndarray  # (n, n), the length of rel_vel
+    vel: np.ndarray      # (n, 2), exactly zero for stopped agents
+    disp: np.ndarray     # (n, 2), one step's displacement
+    rel_vel: np.ndarray  # (n, n, 2), vel[j] - vel[i] at row i, column j
+    reach2: np.ndarray   # (n, n), cull_reach2 of the length of rel_vel
 
 
 def motion(heading: np.ndarray, speed: np.ndarray, moving: np.ndarray,
            params: SimParams) -> Motion:
-    """World-frame velocities, step displacements and pair relative velocities,
-    all from one heading unit vector."""
+    """World-frame velocities, step displacements, pair relative velocities and
+    squared cull radii, all from one heading unit vector."""
     unit = np.array((np.cos(heading), np.sin(heading))).T
     vel = np.where(moving[:, None], speed[:, None] * unit, 0.0)
     rel_vel = vel[None, :, :] - vel[:, None, :]
-    record = Motion(vel, vel * params.dt, rel_vel, np.hypot(rel_vel[..., 0], rel_vel[..., 1]))
+    record = Motion(vel, vel * params.dt, rel_vel,
+                    cull_reach2(np.hypot(rel_vel[..., 0], rel_vel[..., 1]), params))
     for array in record:
         array.flags.writeable = False
     return record
+
+
+def cull_reach2(rel_speed: np.ndarray, params: SimParams) -> np.ndarray:
+    """(n, n) squared centre distance within which a pair's rates may reach the floor.
+
+    The floor is min(T_grm, T_loom).  A source moves rigidly at relative speed
+    v, so every point of it, seen from either eye of an observer whose centre
+    is c away, has |phi_dot| <= v / (c - r), r being the largest body-point
+    radius plus the largest eye radius (``perception``).  The pair is kept
+    while v >= floor * (c - r), that is while its squared centre distance
+    ``dist2 <= (v / floor + r) ** 2``; the entry is -1, never kept, when v is
+    0 and the rates are exactly 0 (self pairs among them), and +inf at a
+    floor of 0.
+
+    The margins make a dropped pair's rates provably smaller than the floor.
+    The absolute one on r, far above the ~1e-14 mm rounding of point
+    positions and of dist2, keeps the gap below every eye-to-point distance;
+    the relative one on the floor covers the few-ulp rounding of the rate and
+    of the bound, and also ``perception.CAUSE_REL_TOL``, so a dropped source
+    can neither carry a signal >= floor nor tie with one as a cause.  The
+    last factor covers the rounding of the division and the square.
+    """
+    floor = min(params.t_grm, params.t_loom) * (1.0 - 1e-9)
+    reach = perception._body(params.d_eye, params.cva, params.ipsi_field)[1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        radius = (rel_speed / floor + (reach + 1e-9 * params.arena)) * (1.0 + 1e-9)
+        return np.where(rel_speed > 0.0, radius * radius, -1.0)
 
 
 def advance(pos: np.ndarray, disp: np.ndarray, params: SimParams) -> np.ndarray:

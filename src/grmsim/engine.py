@@ -1,22 +1,30 @@
 """Synchronous world stepping and full-trial execution.
 
 The world is a struct of arrays with one row per agent, the row index being
-the agent id.  It carries its pair centre displacements and their squared
-lengths (one reduction serves the cull and the collision and encounter
-masks), rebuilt every step, its ``dynamics.Motion``, rebuilt at stops and
-restarts, its ``perception.Frames``, rebuilt at stops, and each agent's next
-lucky restart step ``next_lucky``, its coins drawn ahead and its stream
-rewound to just after that coin; ``dynamics.restart_coins`` alone draws
-them.  One step: read the stopped agents' restart coins (a block is drawn
-first for each whose entry is spent), compute the walking and lucky
-agents' percept summaries from the frozen snapshot, apply the walk/stop
-control, reorient agents that just stopped, advance everyone, then detect
-collisions and encounter transitions on the new positions, building event
-lists only when a contact begins or a pair crosses the perception range.
-A stop record keeps its causes' state at the moment of the stop, read from
-the snapshot's ``centre`` and motion record.  A step never writes into old
-arrays, so the trajectory log of ``run_trial`` keeps each step's arrays
-uncopied.
+the agent id.  Besides each agent's state it carries what changes only at
+events, so a step between events does no event work:
+
+* its pair centre displacements and their squared lengths ``dist2``,
+  rebuilt every step, and each pair's range level (in contact, in
+  perception range, out of range), with the collision and encounter
+  bookkeeping that follows from the levels, rebuilt only when one changes;
+* its ``dynamics.Motion``, with each pair's squared cull radius, rebuilt
+  when a walk flag changes, and its ``perception.Frames``, rebuilt at stops;
+* each agent's next lucky restart step ``next_lucky`` and the world's
+  ``next_coin`` step; ``dynamics.restart_coins`` alone draws coins, and
+  before ``next_coin`` it returns at once.
+
+One step: read the stopped agents' restart coins, compute the walking and
+lucky agents' percept summaries over the pairs within their cull radius
+from the frozen snapshot, apply the walk/stop control and decay every
+spread; on a step with a stop, reorient the agents that just stopped and
+record their stops.  Then advance everyone and compare the new positions'
+range levels with the carried ones; only when one differs are collisions
+and encounter transitions detected, building event lists only when a
+contact begins or a pair crosses the perception range.  A stop record keeps
+its causes' state at the moment of the stop, read from the snapshot's
+``centre`` and motion record.  A step never writes into old arrays, so the
+trajectory log of ``run_trial`` keeps each step's arrays uncopied.
 
 Everything is deterministic in (params, seed): each agent consumes
 randomness only from its own stream.
@@ -75,7 +83,13 @@ class WorldState:
     """Frozen world at one time step, plus pair bookkeeping for debouncing.
 
     ``contact[i, j]`` (i < j) marks pairs in contact; ``t_enter[i, j]`` is
-    the step an open encounter began, or -1 when none is open.
+    the step an open encounter began, or -1 when none is open.  Neither
+    changes while ``range_levels`` stays the same; a new world's levels are
+    all 2, out of range, as no pair is in contact and no encounter is open.
+    ``motion``, ``frames`` and the levels are built for ``params`` (the cull
+    radii from its thresholds): ``dataclasses.replace`` of ``params`` alone
+    leaves them stale unless they read none of the changed fields, as with
+    ``p_restart``; ``make_world`` builds a world for other params.
     """
 
     time_step: int
@@ -91,7 +105,9 @@ class WorldState:
     frames: perception.Frames   # perception.body_frames(heading, params)
     centre: np.ndarray   # (n, n, 2), geometry.pair_deltas(pos, arena)
     dist2: np.ndarray    # (n, n), (centre ** 2).sum(axis=-1)
+    levels: np.ndarray   # (n, n) int, read-only, range_levels(dist2, params)
     next_lucky: np.ndarray  # (n,) int, read-only, see dynamics.restart_coins
+    next_coin: int       # see dynamics.restart_coins
 
 
 def make_world(pos, heading, speed, params: SimParams, moving=True) -> WorldState:
@@ -102,19 +118,38 @@ def make_world(pos, heading, speed, params: SimParams, moving=True) -> WorldStat
     n = len(pos)
     moving = np.broadcast_to(np.asarray(moving, dtype=bool), n).copy()
     next_lucky = np.full(n, ~0)
-    next_lucky.flags.writeable = False
+    levels = np.full((n, n), 2)
+    for array in (next_lucky, levels):
+        array.flags.writeable = False
     centre = pair_deltas(pos, params.arena)
     return WorldState(0, pos, heading, speed, moving, np.zeros(n), params,
                       np.zeros((n, n), dtype=bool), np.full((n, n), -1),
                       dynamics.motion(heading, speed, moving, params),
                       perception.body_frames(heading, params), centre, (centre ** 2).sum(axis=-1),
-                      next_lucky)
+                      levels, next_lucky, 0)
 
 
 @functools.lru_cache(maxsize=None)
 def _upper(n: int) -> np.ndarray:
     """Read-only (n, n) mask of the pairs i < j (``broadcast_to`` views are read-only)."""
     return np.broadcast_to(np.triu(np.ones((n, n), dtype=bool), k=1), (n, n))
+
+
+@functools.lru_cache(maxsize=None)
+def _range_bounds(collision_distance: float, arena: float) -> np.ndarray:
+    """Read-only squared collision distance and perception range, in ascending order."""
+    bounds = np.sort([collision_distance ** 2, (arena / 2.0) ** 2])
+    bounds.flags.writeable = False
+    return bounds
+
+
+def range_levels(dist2: np.ndarray, params: SimParams) -> np.ndarray:
+    """Each pair's range level, the number of ``_range_bounds`` at or below its
+    ``dist2``: 0 in contact, 1 in perception range (half the arena), else 2
+    (for a collision distance below half the arena).  A pair's contact or
+    perception-range flag changes only with its level."""
+    bounds = _range_bounds(params.collision_distance, params.arena)
+    return bounds.searchsorted(dist2, side="right")
 
 
 def _pairs(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -129,56 +164,68 @@ def step(world: WorldState, rngs: list[RngStream]) -> tuple[WorldState, StepEven
     t = world.time_step
     # an unlucky stopped agent stays stopped whatever it sees, and a rate below
     # both thresholds changes no decision, so neither is evaluated
-    lucky, next_lucky = dynamics.restart_coins(t, world.moving, world.next_lucky, params, rngs)
-    pairs = (perception.kept_pairs(world.motion.rel_speed, world.dist2, params)
-             & (world.moving | lucky)[:, None])
+    lucky, next_lucky, next_coin = dynamics.restart_coins(
+        t, world.moving, world.next_lucky, world.next_coin, params, rngs)
+    pairs = (world.dist2 <= world.motion.reach2) & (world.moving | lucky)[:, None]
     summary = perception.world_summaries(world.pos, world.frames, world.motion.rel_vel,
                                          params, pairs)
 
     moving = dynamics.control_step(
         world.moving, summary.max_grm, summary.omega_loom, params, lucky)
     stopping = world.moving & ~moving
-    heading = dynamics.reorient_on_stop(world.heading, world.sigma, stopping, rngs)
     sigma = dynamics.decay_sigma(world.sigma, stopping, params)
-    # velocities change only when an agent stops or restarts, headings only at stops
-    motion = (dynamics.motion(heading, world.speed, moving, params)
-              if (moving != world.moving).any() else world.motion)
-    frames = perception.body_frames(heading, params) if stopping.any() else world.frames
-    pos = dynamics.advance(world.pos, motion.disp, params)
-
     events = StepEvents()
-    for i in np.flatnonzero(stopping).tolist():
-        grm_hit = summary.max_grm[i] > params.t_grm
-        loom_hit = summary.omega_loom[i] > params.t_loom
-        channel = "both" if (grm_hit and loom_hit) else ("GRM" if grm_hit else "LOOM")
-        by_grm, by_loom = summary.causes(i)
-        causes = np.flatnonzero((grm_hit & by_grm) | (loom_hit & by_loom))
-        events.stops.append(StopRecord(
-            t=t, agent=i, cause_agents=frozenset(causes.tolist()), channel=channel,
-            rel_pos=world.centre[i, causes], rel_vel=world.motion.rel_vel[i, causes]))
+    heading, motion, frames = world.heading, world.motion, world.frames
+    # headings change only at stops, velocities at stops and restarts
+    if np.count_nonzero(moving != world.moving):
+        next_coin = t + 1
+        if np.count_nonzero(stopping):
+            heading = dynamics.reorient_on_stop(world.heading, world.sigma, stopping, rngs)
+            frames = perception.body_frames(heading, params)
+            events.stops = [_stop_record(t, i, world, summary)
+                            for i in np.flatnonzero(stopping).tolist()]
+        motion = dynamics.motion(heading, world.speed, moving, params)
+    pos = dynamics.advance(world.pos, motion.disp, params)
 
     centre = pair_deltas(pos, params.arena)
     dist2 = (centre ** 2).sum(axis=-1)
-    upper = _upper(len(pos))
-
-    # collision detection with per-episode debouncing
-    contact = upper & (dist2 < params.collision_distance ** 2)
-    begun = contact & ~world.contact
-    if begun.any():
-        events.collisions = [CollisionRecord(t + 1, pair) for pair in _pairs(begun)]
-
-    # encounter episodes: pairs inside perception range (half the arena)
-    seen = upper & (dist2 < (params.arena / 2.0) ** 2)
-    was_open = world.t_enter >= 0
-    t_enter = world.t_enter
-    if (seen != was_open).any():
-        events.encounters = [EncounterRecord((i, j), int(world.t_enter[i, j]), t + 1)
-                             for i, j in _pairs(was_open & ~seen)]
-        t_enter = np.where(seen, np.where(was_open, world.t_enter, t + 1), -1)
+    levels = range_levels(dist2, params)
+    contact, t_enter = world.contact, world.t_enter
+    if np.count_nonzero(levels != world.levels):
+        levels.flags.writeable = False
+        upper = _upper(len(pos))
+        # collision detection with per-episode debouncing
+        contact = upper & (dist2 < params.collision_distance ** 2)
+        begun = contact & ~world.contact
+        if np.count_nonzero(begun):
+            events.collisions = [CollisionRecord(t + 1, pair) for pair in _pairs(begun)]
+        # encounter episodes: pairs inside perception range (half the arena)
+        seen = upper & (dist2 < (params.arena / 2.0) ** 2)
+        was_open = world.t_enter >= 0
+        if np.count_nonzero(seen != was_open):
+            events.encounters = [EncounterRecord((i, j), int(world.t_enter[i, j]), t + 1)
+                                 for i, j in _pairs(was_open & ~seen)]
+            t_enter = np.where(seen, np.where(was_open, world.t_enter, t + 1), -1)
+    else:
+        levels = world.levels
 
     new_world = WorldState(t + 1, pos, heading, world.speed, moving, sigma, params,
-                           contact, t_enter, motion, frames, centre, dist2, next_lucky)
+                           contact, t_enter, motion, frames, centre, dist2, levels,
+                           next_lucky, next_coin)
     return new_world, events
+
+
+def _stop_record(t: int, i: int, world: WorldState,
+                 summary: perception.PerceptSummary) -> StopRecord:
+    """Agent i's stop at step t, its causes' state read from the snapshot ``world``."""
+    params = world.params
+    grm_hit = summary.max_grm[i] > params.t_grm
+    loom_hit = summary.omega_loom[i] > params.t_loom
+    channel = "both" if (grm_hit and loom_hit) else ("GRM" if grm_hit else "LOOM")
+    by_grm, by_loom = summary.causes(i)
+    causes = np.flatnonzero((grm_hit & by_grm) | (loom_hit & by_loom))
+    return StopRecord(t=t, agent=i, cause_agents=frozenset(causes.tolist()), channel=channel,
+                      rel_pos=world.centre[i, causes], rel_vel=world.motion.rel_vel[i, causes])
 
 
 @dataclass

@@ -21,23 +21,27 @@ Only the (observer, source) pairs that can matter are evaluated.  A body
 moves rigidly, so every point of a source, seen from either eye, has
 |phi_dot| <= v / (c - r): v is the relative speed, c the distance of the two
 centers and r the largest body-point radius plus the largest eye radius.
-``kept_pairs`` drops the pairs whose bound lies safely below the floor
-min(T_grm, T_loom) from params, and the pairs at zero relative velocity.
-Every signal at or above the floor, and its causes, is then exact, and every
-signal below it stays below it, so no stop or restart decision changes.
-``world_summaries`` evaluates exactly the pairs it is handed.
+``dynamics.cull_reach2`` turns that bound into a squared cull radius per
+pair, carried in ``Motion.reach2``: a pair is kept when its squared centre
+distance is within it, and never at zero relative velocity.  Every signal at
+or above the floor min(T_grm, T_loom) is then exact, with its causes, and
+every signal below it stays below it, so no stop or restart decision changes.
+``world_summaries`` evaluates exactly the pairs it is handed, and when there
+are none it returns one shared, read-only zero summary.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .dynamics import SimParams
 from .geometry import _min_image
+
+if TYPE_CHECKING:  # dynamics imports this module
+    from .dynamics import SimParams
 
 # Body outline in the body frame (+y is the heading), mm.  Length 2, max
 # width 0.9, left/right symmetric, with two midline points on the spine.
@@ -128,25 +132,12 @@ def body_frames(heading: np.ndarray, params: SimParams) -> Frames:
     return frames
 
 
-def kept_pairs(rel_speed: np.ndarray, dist2: np.ndarray, params: SimParams) -> np.ndarray:
-    """(n, n) mask of the (observer, source) pairs whose rates may reach the floor.
-
-    ``rel_speed`` is ``Motion.rel_speed`` and ``dist2`` the squared centre
-    distances ``WorldState.dist2``.  The floor is min(T_grm, T_loom).  A pair
-    is dropped when its bound v / (c - r) on every point's rate is safely
-    below the floor, and always when its relative speed v is 0: its rates are
-    then exactly 0.  Self pairs are among those.
-    """
-    floor = min(params.t_grm, params.t_loom)
-    # The margins make a dropped pair's rates provably smaller than floor.
-    # The absolute one, far above the ~1e-14 mm rounding of point positions
-    # and of the square root of dist2, keeps the gap below every eye-to-point
-    # distance; the relative one covers the few-ulp rounding of the rate and
-    # of the bound, and also CAUSE_REL_TOL, so a dropped source can neither
-    # carry a signal >= floor nor tie with one as a cause.
-    reach = _body(params.d_eye, params.cva, params.ipsi_field)[1]
-    gap = np.sqrt(dist2) - (reach + 1e-9 * params.arena)
-    return (rel_speed > 0.0) & (rel_speed >= floor * (1.0 - 1e-9) * gap)
+@functools.lru_cache(maxsize=None)
+def _no_percepts(n: int) -> PerceptSummary:
+    """Shared, read-only summary of n observers that see nothing."""
+    zeros = np.zeros((3, n, n))
+    zeros.flags.writeable = False
+    return PerceptSummary(zeros[0, 0], zeros[0, 0], zeros)
 
 
 def world_summaries(pos: np.ndarray, frames: Frames, rel_vel: np.ndarray,
@@ -165,35 +156,36 @@ def world_summaries(pos: np.ndarray, frames: Frames, rel_vel: np.ndarray,
     side of the observer's spine a point lies on.
     """
     n = len(pos)
-    by_source = np.zeros((3, n, n))
     ii, jj = np.nonzero(pairs)
-    if len(ii):
-        lo, hi = _body(params.d_eye, params.cva, params.ipsi_field)[2:]
-        world = pos[:, None, :] + frames.offsets  # (n, 17, 2)
+    if not len(ii):
+        return _no_percepts(n)
+    lo, hi = _body(params.d_eye, params.cva, params.ipsi_field)[2:]
+    world = pos[:, None, :] + frames.offsets  # (n, 17, 2)
 
-        # (pair, viewpoint, point, axis): observer left eye, right eye, centre to source
-        d = _min_image(world[jj, None, :-3] - world[ii, -3:, None], params.arena)
-        dx, dy = d[..., 0], d[..., 1]
-        # observer frame: forward is the heading, left its CCW normal
-        hx, hy = frames.axes[:, ii, None, None]
-        left = hx * dy - hy * dx
-        ex, ey = dx[:, :2], dy[:, :2]
-        d2 = ex * ex + ey * ey
-        phi = np.arctan2(left[:, :2], hx * ex + hy * ey)
-        seen = (phi >= lo) & (phi <= hi) & (d2 > 0.0)
+    # (pair, viewpoint, point, axis): observer left eye, right eye, centre to source
+    d = _min_image(world[jj, None, :-3] - world[ii, -3:, None], params.arena)
+    dx, dy = d[..., 0], d[..., 1]
+    # observer frame: forward is the heading, left its CCW normal
+    hx, hy = frames.axes[:, ii, None, None]
+    left = hx * dy - hy * dx
+    ex, ey = dx[:, :2], dy[:, :2]
+    d2 = ex * ex + ey * ey
+    phi = np.arctan2(left[:, :2], hx * ex + hy * ey)
+    seen = (phi >= lo) & (phi <= hi) & (d2 > 0.0)
 
-        rv = rel_vel[ii, jj][:, None, None]
-        rate = np.divide(rv[..., 1] * ex - rv[..., 0] * ey, d2,
-                         out=np.zeros_like(d2), where=seen)
+    rv = rel_vel[ii, jj][:, None, None]
+    rate = np.divide(rv[..., 1] * ex - rv[..., 0] * ey, d2,
+                     out=np.zeros_like(d2), where=seen)
 
-        # left eye (index 0) reads clockwise, right eye (index 1) counter-clockwise
-        grm = np.maximum(-rate[:, 0], rate[:, 1]).max(axis=1)
+    # left eye (index 0) reads clockwise, right eye (index 1) counter-clockwise
+    grm = np.maximum(-rate[:, 0], rate[:, 1]).max(axis=1)
 
-        # hemifield: side of the observer's spine, left > 0; 0 is neither side
-        side = left[:, 2:]
-        ccw = np.where(side > 0.0, rate, 0.0).max(axis=(1, 2))
-        cw = np.where(side < 0.0, -rate, 0.0).max(axis=(1, 2))
-        by_source[:, ii, jj] = np.maximum((grm, ccw, cw), 0.0)
+    # hemifield: side of the observer's spine, left > 0; 0 is neither side
+    side = left[:, 2:]
+    ccw = np.where(side > 0.0, rate, 0.0).max(axis=(1, 2))
+    cw = np.where(side < 0.0, -rate, 0.0).max(axis=(1, 2))
+    by_source = np.zeros((3, n, n))
+    by_source[:, ii, jj] = np.maximum((grm, ccw, cw), 0.0)
 
     best = by_source.max(axis=2)
     # looming is 0 unless both sides see outward motion

@@ -1,11 +1,17 @@
 import math
+import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from grmsim import dynamics as dyn
+from grmsim import engine, perception
 from grmsim.dynamics import SimParams
-from grmsim.geometry import min_image_delta
+from grmsim.geometry import min_image_delta, pair_deltas
+from grmsim.harness import config
+
+DESK = pathlib.Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
 
 STOPPING = np.array([True])
 NOT_STOPPING = np.array([False])
@@ -143,8 +149,9 @@ def test_restart_coins_drawn_ahead_by_stopped_agents_only():
     rngs = [np.random.default_rng(k) for k in range(4)]
     moving = np.array([True, False, False, True])
     start = np.full(4, ~0)
-    lucky, next_lucky = dyn.restart_coins(0, moving, start, params, rngs)
+    lucky, next_lucky, next_coin = dyn.restart_coins(0, moving, start, 0, params, rngs)
     assert not next_lucky.flags.writeable and np.array_equal(start, np.full(4, ~0))
+    assert next_coin == max(min(next_lucky[1:3]), 1)
     for k, stream in enumerate(rngs):
         fresh = np.random.default_rng(k)
         if not moving[k]:
@@ -166,7 +173,7 @@ def test_restart_coins_draw_exactly_when_an_entry_does_not_reach_the_step():
     moving = np.array([False] * 6 + [True])
     draws = [True, True, True, False, False, False, False]
     rngs = [np.random.default_rng(40 + i) for i in range(7)]
-    lucky, next_lucky = dyn.restart_coins(t, moving, entries.copy(), params, rngs)
+    lucky, next_lucky, next_coin = dyn.restart_coins(t, moving, entries.copy(), t, params, rngs)
     for i, stream in enumerate(rngs):
         fresh = np.random.default_rng(40 + i)
         want = entries[i]
@@ -180,6 +187,58 @@ def test_restart_coins_draw_exactly_when_an_entry_does_not_reach_the_step():
         assert stream.bit_generator.state == fresh.bit_generator.state, i
         assert lucky[i] == (not moving[i] and want == t), i
     assert lucky[5] and not lucky[6]
+    # agent 5 is lucky now and may stay stopped, so its entry is due next step
+    assert next_coin == t + 1
+
+
+def coin_step(t, moving, next_lucky):
+    """The first step from t on at which a stopped agent's entry (a lucky step,
+    or ``~s`` with s the first undrawn coin's step) falls due."""
+    due = [max(entry, ~entry, t) for entry in next_lucky[~moving].tolist()]
+    return min(due, default=dyn.NEVER)
+
+
+def test_restart_coins_before_the_coin_step_draw_nothing():
+    # stale entries are due, but before the carried step the call returns at
+    # once: no lucky agent, the same entries, nothing drawn
+    params = SimParams(p_restart=0.5)
+    entries = np.array([3, ~7, ~0, 9])
+    entries.flags.writeable = False
+    moving = np.array([False, False, False, True])
+    rngs = [np.random.default_rng(60 + i) for i in range(4)]
+    lucky, next_lucky, next_coin = dyn.restart_coins(7, moving, entries, 8, params, rngs)
+    assert not lucky.any() and not lucky.flags.writeable and lucky.shape == (4,)
+    assert next_lucky is entries and next_coin == 8
+    for i, stream in enumerate(rngs):
+        assert stream.bit_generator.state == np.random.default_rng(60 + i).bit_generator.state
+    # at the carried step the stale entries draw
+    lucky, next_lucky, next_coin = dyn.restart_coins(8, moving, entries, 8, params, rngs)
+    assert ((next_lucky[:3] >= 8) | (~next_lucky[:3] > 8)).all() and lucky.flags.writeable
+    assert next_coin == max(coin_step(8, moving, next_lucky), 9)
+
+
+@pytest.mark.parametrize("p", [0.008, 0.5, 1.0, 0.0])
+def test_carried_coin_step_skips_only_steps_without_coin_work(p):
+    # with the walk flags held, carrying next_coin gives every step's lucky
+    # agents and leaves every stream as a call that never skips
+    params = SimParams(p_restart=p)
+    moving = np.random.default_rng(3).random(12) < 0.3
+    carried = [np.random.default_rng(80 + i) for i in range(12)]
+    always = [np.random.default_rng(80 + i) for i in range(12)]
+    entries_c = entries_a = np.full(12, ~0)
+    next_coin, skipped = 0, 0
+    for t in range(5000):
+        skipped += t < next_coin
+        got, entries_c, next_coin = dyn.restart_coins(t, moving, entries_c, next_coin,
+                                                      params, carried)
+        want, entries_a, _ = dyn.restart_coins(t, moving, entries_a, t, params, always)
+        assert np.array_equal(got, want) and np.array_equal(entries_c, entries_a), t
+        assert next_coin == max(coin_step(t, moving, entries_c), t + 1), t
+    for a, b in zip(carried, always):
+        assert a.bit_generator.state == b.bit_generator.state
+    # at p = 0.5 some stopped agent is lucky at nearly every step
+    if p != 0.5:
+        assert (skipped > 0) == (p < 1.0)
 
 
 # ------------------------------------------------------------- reorientation
@@ -272,3 +331,100 @@ def test_velocity_zero_when_stopped():
                      np.array([True, False]), SimParams()).vel
     assert vel[0] == pytest.approx([20.0, 0.0])
     assert np.array_equal(vel[1], [0.0, 0.0])
+
+
+# ------------------------------------------------------------- pair culling
+
+def distance_cull(rel_speed, dist2, params):
+    """The cull as a comparison of rates: a pair is kept when its relative speed v
+    is positive and v >= floor * (c - r), c its centre distance and r the reach,
+    with the margins of ``cull_reach2``."""
+    floor = min(params.t_grm, params.t_loom)
+    reach = perception._body(params.d_eye, params.cva, params.ipsi_field)[1]
+    gap = np.sqrt(dist2) - (reach + 1e-9 * params.arena)
+    return (rel_speed > 0.0) & (rel_speed >= floor * (1.0 - 1e-9) * gap)
+
+
+def cull_worlds(rng, params, count):
+    """(dist2, motion) of random worlds: half spread over the arena, half packed
+    into 8 mm across a random corner, so often straddling the torus seam; about
+    half of the agents stopped, and some walking with agent 0's velocity."""
+    for k in range(count):
+        n = int(rng.integers(2, 11))
+        side, corner = (8.0, rng.uniform(0, params.arena, 2)) if k % 2 else (params.arena, 0.0)
+        pos = (corner + rng.uniform(0, side, (n, 2))) % params.arena
+        heading, speed = rng.uniform(0, 2 * math.pi, n), rng.uniform(10, 30, n)
+        twins = rng.random(n) < 0.3
+        heading[twins], speed[twins] = heading[0], speed[0]
+        moving = rng.random(n) < 0.5
+        moving[twins] = moving[0]
+        yield (pair_deltas(pos, params.arena) ** 2).sum(-1), dyn.motion(heading, speed,
+                                                                      moving, params)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("floor", [0.0, 5e-324, 1e-300, 0.1, 1.0, 4.0, 6.0, 32.0])
+def test_cull_radius_keeps_every_pair_the_rate_bound_keeps(floor):
+    # the squared cull radius keeps every pair that the rate bound keeps, in
+    # random worlds and within a few ulps of the bound's edge, drops the pairs
+    # at zero relative speed, and warns at no floor
+    rng = np.random.default_rng(43)
+    params = SimParams(t_grm=floor, t_loom=max(floor, 6.0))
+    dropped = still = 0
+    for dist2, motion in cull_worlds(rng, params, 60):
+        rel_speed = np.hypot(motion.rel_vel[..., 0], motion.rel_vel[..., 1])
+        by_radius = dist2 <= motion.reach2
+        moving_apart = motion.rel_vel.any(axis=-1)
+        assert not (distance_cull(rel_speed, dist2, params) & ~by_radius).any()
+        assert not (by_radius & ~moving_apart).any()
+        dropped += int((moving_apart & ~by_radius).sum())
+        still += int((~moving_apart & ~np.eye(len(dist2), dtype=bool)).sum())
+    assert still > 0
+    if floor >= 1.0:
+        assert dropped > 0
+    if floor < 1e-200:  # every moving pair is kept
+        assert dropped == 0
+    if floor >= 0.1:
+        rel_speed = rng.uniform(0.1, 60.0, 4000)
+        reach = perception._body(params.d_eye, params.cva, params.ipsi_field)[1]
+        edge = rel_speed / (floor * (1.0 - 1e-9)) + (reach + 1e-9 * params.arena)
+        dist2 = (edge * (1.0 + rng.integers(-16, 17, 4000) * 2.0 ** -52)) ** 2
+        by_rate = distance_cull(rel_speed, dist2, params)
+        assert by_rate.any() and not by_rate.all()
+        assert not (by_rate & ~(dist2 <= dyn.cull_reach2(rel_speed, params))).any()
+
+
+def _trial_outputs(result):
+    return ([(s.t, s.agent, s.cause_agents, s.channel) for s in result.stops],
+            result.collisions, result.encounters, result.counts)
+
+
+@pytest.mark.parametrize("n_agents, t_grm, t_loom, seed",
+                         [(10, 6.0, 32.0, 2), (30, 1.0, 4.0, 0)])
+def test_pair_culling_leaves_trials_unchanged(monkeypatch, n_agents, t_grm, t_loom, seed):
+    # the engine culls pairs at min(T_grm, T_loom) and skips observers whose
+    # decision cannot change; evaluating every pair must give the same trial
+    desk = config.parse_config(DESK).params
+    params = replace(desk, n_agents=n_agents, t_grm=t_grm, t_loom=t_loom,
+                     horizon_steps=400)
+    culled = engine.run_trial(params, seed)
+
+    exact_summaries = perception.world_summaries
+    skipped, emptied_rows = 0, 0
+
+    def every_pair(pos, frames, rel_vel, params, pairs):
+        nonlocal skipped, emptied_rows
+        moving_apart = rel_vel.any(axis=-1)
+        skipped += int((moving_apart & ~pairs).sum())
+        # rows the cull alone keeps, left empty by the observer mask
+        rel_speed = np.hypot(rel_vel[..., 0], rel_vel[..., 1])
+        dist2 = (pair_deltas(pos, params.arena) ** 2).sum(axis=-1)
+        kept = dist2 <= dyn.cull_reach2(rel_speed, params)
+        emptied_rows += int((kept.any(axis=1) & ~pairs.any(axis=1)).sum())
+        n = len(pos)
+        return exact_summaries(pos, frames, rel_vel, params, np.ones((n, n), bool))
+
+    monkeypatch.setattr(perception, "world_summaries", every_pair)
+    exact = engine.run_trial(params, seed)
+    assert skipped > 0 and emptied_rows > 0
+    assert culled.stops and _trial_outputs(culled) == _trial_outputs(exact)

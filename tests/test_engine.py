@@ -194,42 +194,6 @@ def test_run_trial_deterministic_repeat():
     assert [s.cause_agents for s in a.stops] == [s.cause_agents for s in b.stops]
 
 
-def _trial_outputs(result):
-    return ([(s.t, s.agent, s.cause_agents, s.channel) for s in result.stops],
-            result.collisions, result.encounters, result.counts)
-
-
-@pytest.mark.parametrize("n_agents, t_grm, t_loom, seed",
-                         [(10, 6.0, 32.0, 2), (30, 1.0, 4.0, 0)])
-def test_pair_culling_leaves_trials_unchanged(monkeypatch, n_agents, t_grm, t_loom, seed):
-    # the engine culls pairs at min(T_grm, T_loom) and skips observers whose
-    # decision cannot change; evaluating every pair must give the same trial
-    desk = config.parse_config(DESK).params
-    params = replace(desk, n_agents=n_agents, t_grm=t_grm, t_loom=t_loom,
-                     horizon_steps=400)
-    culled = engine.run_trial(params, seed)
-
-    exact_summaries = perception.world_summaries
-    skipped, emptied_rows = 0, 0
-
-    def every_pair(pos, frames, rel_vel, params, pairs):
-        nonlocal skipped, emptied_rows
-        moving_apart = rel_vel.any(axis=-1)
-        skipped += int((moving_apart & ~pairs).sum())
-        # rows the cull alone keeps, left empty by the observer mask
-        rel_speed = np.hypot(rel_vel[..., 0], rel_vel[..., 1])
-        dist2 = (pair_deltas(pos, params.arena) ** 2).sum(axis=-1)
-        kept = perception.kept_pairs(rel_speed, dist2, params)
-        emptied_rows += int((kept.any(axis=1) & ~pairs.any(axis=1)).sum())
-        n = len(pos)
-        return exact_summaries(pos, frames, rel_vel, params, np.ones((n, n), bool))
-
-    monkeypatch.setattr(perception, "world_summaries", every_pair)
-    exact = engine.run_trial(params, seed)
-    assert skipped > 0 and emptied_rows > 0
-    assert culled.stops and _trial_outputs(culled) == _trial_outputs(exact)
-
-
 def _desk_and_crowd_worlds():
     """Every world of a whole desk trial (seed 4) and of a whole N=30 crowd trial
     (T_grm 1, T_loom 4, seed 0, where restarts are frequent), step 0 first."""
@@ -243,10 +207,20 @@ def _desk_and_crowd_worlds():
             yield world
 
 
+def coin_step(world):
+    """The first step from the world's on at which a stopped agent's lucky step
+    or block falls due (``dynamics.restart_coins``)."""
+    entries = world.next_lucky[~world.moving].tolist()
+    return min((max(e, ~e, world.time_step) for e in entries), default=dynamics.NEVER)
+
+
 def test_world_carries_velocity_and_centre_displacement():
-    # the motion record and the body frames are carried between steps and
-    # rebuilt only at stops and restarts: every world's equal fresh ones
-    stops = restarts_only = 0
+    # the motion record (with the squared cull radii) and the body frames are
+    # carried between steps and rebuilt only at stops and restarts, the range
+    # levels, contacts and open encounters only when a level changes: every
+    # world's equal fresh ones; the coin step is the next step after a walk
+    # flag changes, else the first step with coin work
+    stops = restarts_only = skips = 0
     previous = None
     for world in _desk_and_crowd_worlds():
         params = world.params
@@ -258,23 +232,43 @@ def test_world_carries_velocity_and_centre_displacement():
         for got, want in zip(world.motion + world.frames, fresh, strict=True):
             assert np.array_equal(got, want)
         if world.time_step:
+            upper = np.triu(np.ones(world.dist2.shape, bool), k=1)
+            assert np.array_equal(world.contact,
+                                  upper & (world.dist2 < params.collision_distance ** 2))
+            assert np.array_equal(world.t_enter >= 0,
+                                  upper & (world.dist2 < (params.arena / 2) ** 2))
+            assert np.array_equal(world.levels, engine.range_levels(world.dist2, params))
             stopped = (previous.moving & ~world.moving).any()
             stops += stopped
             restarts_only += not stopped and (~previous.moving & world.moving).any()
+            if np.array_equal(world.moving, previous.moving):
+                assert world.next_coin == coin_step(world)
+                skips += world.next_coin > world.time_step
+            else:
+                assert world.next_coin == world.time_step <= coin_step(world)
+        else:
+            assert (world.levels == 2).all() and not world.contact.any()
+            assert (world.t_enter == -1).all() and world.next_coin == 0
         previous = world
-    assert stops > 0 and restarts_only > 0
+    assert stops > 0 and restarts_only > 0 and skips > 0
 
 
 def test_carried_arrays_are_read_only():
-    # consecutive worlds share the motion record, the body frames and the
-    # next lucky steps
+    # consecutive worlds share the motion record (with the cull radii) unless
+    # a walk flag changed, the range levels unless one changed, and the body
+    # frames and the next lucky steps on quiet steps
     shared = 0
     previous = None
     for world in _desk_and_crowd_worlds():
-        assert not any(a.flags.writeable
-                       for a in world.motion + world.frames + (world.next_lucky,))
+        assert not any(a.flags.writeable for a in world.motion + world.frames
+                       + (world.next_lucky, world.levels))
         if world.time_step:
-            shared += (world.motion is previous.motion and world.frames is previous.frames
+            same_flags = np.array_equal(world.moving, previous.moving)
+            assert (world.motion is previous.motion) == same_flags
+            same_levels = np.array_equal(world.levels, previous.levels)
+            assert (world.levels is previous.levels) == same_levels
+            assert (world.contact is previous.contact) == same_levels
+            shared += (same_levels and world.frames is previous.frames
                        and world.next_lucky is previous.next_lucky)
         previous = world
     assert shared > 0

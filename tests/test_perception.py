@@ -7,7 +7,7 @@ import pytest
 
 from grmsim import geometry as geo
 from grmsim import perception as per
-from grmsim.dynamics import SimParams, motion
+from grmsim.dynamics import SimParams, cull_reach2, motion
 from percept_oracle import (PointPercept, detect_grm, kernel_row, looming_strength,
                             project_points, summarize)
 
@@ -47,10 +47,10 @@ def test_walking_velocity_follows_body_axes():
 
 
 def kept(world, params):
-    """``kept_pairs`` of a (pos, heading, vel) snapshot."""
+    """The pairs the engine's cull keeps in a (pos, heading, vel) snapshot."""
     pos, _, vel = world
     dist2 = (geo.pair_deltas(pos, params.arena) ** 2).sum(axis=-1)
-    return per.kept_pairs(relative(vel)[1], dist2, params)
+    return dist2 <= cull_reach2(relative(vel)[1], params)
 
 
 def exact_summary(world, params):
@@ -425,6 +425,21 @@ def test_pair_mask_keeps_listed_entries_and_zeroes_the_rest():
             assert np.array_equal(masked.omega_loom, np.minimum(best[1], best[2]))
             hidden += int(full.by_source[:, ~pairs].any())
     assert hidden > 0
+
+
+def test_no_pairs_give_one_shared_zero_summary():
+    # a step with no kept pair pays for no kernel and no reduction
+    rng = np.random.default_rng(47)
+    params = SimParams()
+    worlds = [_random_world(rng, params, n=n) for n in (6, 6, 4)]
+    got = [summaries(world, params, np.zeros((len(world[0]),) * 2, bool)) for world in worlds]
+    assert got[0] is got[1] and got[2] is not got[0]
+    for summary, world in zip(got, worlds):
+        n = len(world[0])
+        assert summary.by_source.shape == (3, n, n) and summary.max_grm.shape == (n,)
+        for array in (summary.max_grm, summary.omega_loom, summary.by_source):
+            assert not array.any() and not array.flags.writeable
+        assert not any(mask.any() for mask in summary.causes(n - 1))
 
 
 def test_culled_pairs_have_every_rate_below_floor():
