@@ -20,8 +20,7 @@ table = run_sweep(grid, params)
 out_dir = Path(__file__).resolve().parent / "output"
 out_dir.mkdir(parents=True, exist_ok=True)
 csv_path = emit_csv(table, out_dir / "mini_sweep.csv")
-svg_path = emit_scatter_svg(table.aggregates, out_dir / "mini_sweep.svg",
-                            bar_glyph=True)
+svg_path = emit_scatter_svg(table.aggregates, out_dir / "mini_sweep.svg")
 
 print(f"{len(table.rows)} trials -> {csv_path}")
 print(f"{len(table.aggregates)} cells -> {svg_path}")

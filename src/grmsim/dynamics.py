@@ -107,6 +107,9 @@ class SimParams:
         limit = 4.0 * perception.frame_radius(self.d_eye)
         if not self.arena > limit:
             raise ValueError(f"arena side must exceed four body-frame radii ({limit:g} mm)")
+        # every pair in perception range would already be in contact
+        if self.collision_distance > self.arena / 2.0:
+            raise ValueError("collision distance must not exceed half the arena side")
         return self
 
 
@@ -243,7 +246,7 @@ def decay_sigma(sigma: np.ndarray, stopping: np.ndarray,
 
 
 class Motion(NamedTuple):
-    """Read-only step arrays implied by (heading, speed, moving); worlds share them."""
+    """Read-only step arrays implied by (frames, speed, moving); worlds share them."""
 
     vel: np.ndarray      # (n, 2), exactly zero for stopped agents
     disp: np.ndarray     # (n, 2), one step's displacement
@@ -251,12 +254,11 @@ class Motion(NamedTuple):
     reach2: np.ndarray   # (n, n), cull_reach2 of the length of rel_vel
 
 
-def motion(heading: np.ndarray, speed: np.ndarray, moving: np.ndarray,
+def motion(frames: perception.Frames, speed: np.ndarray, moving: np.ndarray,
            params: SimParams) -> Motion:
     """World-frame velocities, step displacements, pair relative velocities and
-    squared cull radii, all from one heading unit vector."""
-    unit = np.array((np.cos(heading), np.sin(heading))).T
-    vel = np.where(moving[:, None], speed[:, None] * unit, 0.0)
+    squared cull radii, all along the heading unit vectors ``frames.axes``."""
+    vel = np.where(moving[:, None], speed[:, None] * frames.axes.T, 0.0)
     rel_vel = vel[None, :, :] - vel[:, None, :]
     record = Motion(vel, vel * params.dt, rel_vel,
                     cull_reach2(np.hypot(rel_vel[..., 0], rel_vel[..., 1]), params))

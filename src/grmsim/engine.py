@@ -6,10 +6,11 @@ events, so a step between events does no event work:
 
 * its pair centre displacements and their squared lengths ``dist2``,
   rebuilt every step, and each pair's range level (in contact, in
-  perception range, out of range), with the collision and encounter
-  bookkeeping that follows from the levels, rebuilt only when one changes;
-* its ``dynamics.Motion``, with each pair's squared cull radius, rebuilt
-  when a walk flag changes, and its ``perception.Frames``, rebuilt at stops;
+  perception range, out of range), with the step each open encounter
+  began; the levels alone decide contacts and encounters;
+* its ``perception.Frames``, rebuilt at stops, whose heading unit vectors
+  build its ``dynamics.Motion``, with each pair's squared cull radius,
+  rebuilt when a walk flag changes;
 * each agent's next lucky restart step ``next_lucky`` and the world's
   ``next_coin`` step; ``dynamics.restart_coins`` alone draws coins, and
   before ``next_coin`` it returns at once.
@@ -19,9 +20,9 @@ lucky agents' percept summaries over the pairs within their cull radius
 from the frozen snapshot, apply the walk/stop control and decay every
 spread; on a step with a stop, reorient the agents that just stopped and
 record their stops.  Then advance everyone and compare the new positions'
-range levels with the carried ones; only when one differs are collisions
-and encounter transitions detected, building event lists only when a
-contact begins or a pair crosses the perception range.  A stop record keeps
+range levels with the carried ones; only where one differs does a contact
+begin (a level becomes 0), an encounter open (a level leaves 2) or an
+encounter close (a level returns to 2).  A stop record keeps
 its causes' state at the moment of the stop, read from the snapshot's
 ``centre`` and motion record.  A step never writes into old arrays, so the
 trajectory log of ``run_trial`` keeps each step's arrays uncopied.
@@ -80,16 +81,16 @@ class StepEvents:
 
 @dataclass(frozen=True, eq=False)
 class WorldState:
-    """Frozen world at one time step, plus pair bookkeeping for debouncing.
+    """Frozen world at one time step; the arrays it shares with the next are read-only.
 
-    ``contact[i, j]`` (i < j) marks pairs in contact; ``t_enter[i, j]`` is
-    the step an open encounter began, or -1 when none is open.  Neither
-    changes while ``range_levels`` stays the same; a new world's levels are
-    all 2, out of range, as no pair is in contact and no encounter is open.
-    ``motion``, ``frames`` and the levels are built for ``params`` (the cull
-    radii from its thresholds): ``dataclasses.replace`` of ``params`` alone
-    leaves them stale unless they read none of the changed fields, as with
-    ``p_restart``; ``make_world`` builds a world for other params.
+    ``levels`` is each pair's ``range_levels``: 0 in contact, 1 in perception
+    range, 2 out of range; a new world's are all 2, so no pair is in contact
+    and no encounter is open.  ``t_enter[i, j]`` (i < j) is the step the pair's
+    open encounter began, or -1 when none is open.  ``motion``, ``frames`` and
+    the levels are built for ``params`` (the cull radii from its thresholds):
+    ``dataclasses.replace`` of ``params`` alone leaves them stale unless they
+    read none of the changed fields, as with ``p_restart``; ``make_world``
+    builds a world for other params.
     """
 
     time_step: int
@@ -99,9 +100,8 @@ class WorldState:
     moving: np.ndarray   # (n,) bool
     sigma: np.ndarray    # (n,)
     params: SimParams
-    contact: np.ndarray  # (n, n) bool
     t_enter: np.ndarray  # (n, n) int
-    motion: dynamics.Motion     # dynamics.motion(heading, speed, moving, params)
+    motion: dynamics.Motion     # dynamics.motion(frames, speed, moving, params)
     frames: perception.Frames   # perception.body_frames(heading, params)
     centre: np.ndarray   # (n, n, 2), geometry.pair_deltas(pos, arena)
     dist2: np.ndarray    # (n, n), (centre ** 2).sum(axis=-1)
@@ -117,16 +117,14 @@ def make_world(pos, heading, speed, params: SimParams, moving=True) -> WorldStat
     heading, speed = (np.array(a, dtype=float) for a in (heading, speed))
     n = len(pos)
     moving = np.broadcast_to(np.asarray(moving, dtype=bool), n).copy()
-    next_lucky = np.full(n, ~0)
-    levels = np.full((n, n), 2)
-    for array in (next_lucky, levels):
+    next_lucky, levels, t_enter = np.full(n, ~0), np.full((n, n), 2), np.full((n, n), -1)
+    for array in (heading, speed, next_lucky, levels, t_enter):
         array.flags.writeable = False
+    frames = perception.body_frames(heading, params)
     centre = pair_deltas(pos, params.arena)
-    return WorldState(0, pos, heading, speed, moving, np.zeros(n), params,
-                      np.zeros((n, n), dtype=bool), np.full((n, n), -1),
-                      dynamics.motion(heading, speed, moving, params),
-                      perception.body_frames(heading, params), centre, (centre ** 2).sum(axis=-1),
-                      levels, next_lucky, 0)
+    return WorldState(0, pos, heading, speed, moving, np.zeros(n), params, t_enter,
+                      dynamics.motion(frames, speed, moving, params), frames, centre,
+                      (centre ** 2).sum(axis=-1), levels, next_lucky, 0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -137,17 +135,16 @@ def _upper(n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _range_bounds(collision_distance: float, arena: float) -> np.ndarray:
-    """Read-only squared collision distance and perception range, in ascending order."""
-    bounds = np.sort([collision_distance ** 2, (arena / 2.0) ** 2])
+    """Read-only squared collision distance and perception range, in ascending
+    order as ``SimParams.validate`` keeps the first within half the arena."""
+    bounds = np.array([collision_distance ** 2, (arena / 2.0) ** 2])
     bounds.flags.writeable = False
     return bounds
 
 
 def range_levels(dist2: np.ndarray, params: SimParams) -> np.ndarray:
     """Each pair's range level, the number of ``_range_bounds`` at or below its
-    ``dist2``: 0 in contact, 1 in perception range (half the arena), else 2
-    (for a collision distance below half the arena).  A pair's contact or
-    perception-range flag changes only with its level."""
+    ``dist2``: 0 in contact, 1 in perception range (half the arena), else 2."""
     bounds = _range_bounds(params.collision_distance, params.arena)
     return bounds.searchsorted(dist2, side="right")
 
@@ -181,37 +178,36 @@ def step(world: WorldState, rngs: list[RngStream]) -> tuple[WorldState, StepEven
         next_coin = t + 1
         if np.count_nonzero(stopping):
             heading = dynamics.reorient_on_stop(world.heading, world.sigma, stopping, rngs)
+            heading.flags.writeable = False
             frames = perception.body_frames(heading, params)
             events.stops = [_stop_record(t, i, world, summary)
                             for i in np.flatnonzero(stopping).tolist()]
-        motion = dynamics.motion(heading, world.speed, moving, params)
+        motion = dynamics.motion(frames, world.speed, moving, params)
     pos = dynamics.advance(world.pos, motion.disp, params)
 
     centre = pair_deltas(pos, params.arena)
     dist2 = (centre ** 2).sum(axis=-1)
     levels = range_levels(dist2, params)
-    contact, t_enter = world.contact, world.t_enter
-    if np.count_nonzero(levels != world.levels):
+    t_enter = world.t_enter
+    changed = levels != world.levels
+    if np.count_nonzero(changed):
         levels.flags.writeable = False
-        upper = _upper(len(pos))
-        # collision detection with per-episode debouncing
-        contact = upper & (dist2 < params.collision_distance ** 2)
-        begun = contact & ~world.contact
+        changed &= _upper(len(pos))
+        begun = changed & (levels == 0)
         if np.count_nonzero(begun):
             events.collisions = [CollisionRecord(t + 1, pair) for pair in _pairs(begun)]
-        # encounter episodes: pairs inside perception range (half the arena)
-        seen = upper & (dist2 < (params.arena / 2.0) ** 2)
-        was_open = world.t_enter >= 0
-        if np.count_nonzero(seen != was_open):
-            events.encounters = [EncounterRecord((i, j), int(world.t_enter[i, j]), t + 1)
-                                 for i, j in _pairs(was_open & ~seen)]
-            t_enter = np.where(seen, np.where(was_open, world.t_enter, t + 1), -1)
+        opened = changed & (world.levels == 2)
+        closed = changed & (levels == 2)
+        if np.count_nonzero(opened | closed):
+            events.encounters = [EncounterRecord((i, j), int(t_enter[i, j]), t + 1)
+                                 for i, j in _pairs(closed)]
+            t_enter = np.where(opened, t + 1, np.where(closed, -1, t_enter))
+            t_enter.flags.writeable = False
     else:
         levels = world.levels
 
     new_world = WorldState(t + 1, pos, heading, world.speed, moving, sigma, params,
-                           contact, t_enter, motion, frames, centre, dist2, levels,
-                           next_lucky, next_coin)
+                           t_enter, motion, frames, centre, dist2, levels, next_lucky, next_coin)
     return new_world, events
 
 

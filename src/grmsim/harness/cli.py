@@ -60,8 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     plot = sub.add_parser("plot", help="render a sweep CSV as an SVG scatter")
     plot.add_argument("csv", type=Path, help="sweep CSV produced by `sweep`")
     plot.add_argument("--out", type=Path, required=True, help="SVG output path")
-    plot.add_argument("--bar-glyph", action="store_true",
-                      help="tilt a bar by each cell's CVA")
     return parser
 
 
@@ -142,7 +140,7 @@ def _cmd_plot(args) -> int:
         raise ConfigError(str(exc)) from exc
     if not table.aggregates:
         raise ConfigError(f"{args.csv}: no sweep rows to plot")
-    render.emit_scatter_svg(table.aggregates, args.out, bar_glyph=args.bar_glyph)
+    render.emit_scatter_svg(table.aggregates, args.out)
     print(f"wrote {args.out}")
     return 0
 

@@ -33,13 +33,12 @@ def _svg_document(width: int, height: int, body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def emit_scatter_svg(aggregates: Sequence, path, bar_glyph: bool = False) -> Path:
+def emit_scatter_svg(aggregates: Sequence, path) -> Path:
     """Scatter of per-cell (mobility, safety) means on the unit square.
 
-    Each marker carries its cell parameters in a ``<title>`` element.  Cells
-    with an undefined mean on either axis are skipped (noted in a comment).
-    With ``bar_glyph`` every marker also gets a bar tilted by the cell's
-    contralateral visual angle.
+    Each marker carries its cell parameters in a ``<title>`` element and sits
+    on a bar tilted by the cell's contralateral visual angle.  Cells with an
+    undefined mean on either axis are skipped (noted in a comment).
     """
     if not aggregates:
         raise ValueError("no aggregates to plot")
@@ -80,12 +79,11 @@ def emit_scatter_svg(aggregates: Sequence, path, bar_glyph: bool = False) -> Pat
                  f"T_loom={agg.t_loom:g}: mobility={agg.mean_mobility:.3f}, "
                  f"safety={agg.mean_safety:.3f} "
                  f"({agg.n_mobility}/{agg.n_trials} trials)")
-        if bar_glyph:
-            angle = math.radians(agg.cva_deg)
-            dx, dy = 9 * math.cos(angle), 9 * math.sin(angle)
-            body.append(f'<line x1="{x - dx:.2f}" y1="{y + dy:.2f}" '
-                        f'x2="{x + dx:.2f}" y2="{y - dy:.2f}" '
-                        'stroke="#555" stroke-width="1.5"/>')
+        angle = math.radians(agg.cva_deg)
+        dx, dy = 9 * math.cos(angle), 9 * math.sin(angle)
+        body.append(f'<line x1="{x - dx:.2f}" y1="{y + dy:.2f}" '
+                    f'x2="{x + dx:.2f}" y2="{y - dy:.2f}" '
+                    'stroke="#555" stroke-width="1.5"/>')
         body.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="#3a6ea5" '
                     f'fill-opacity="0.75"><title>{title}</title></circle>')
     if skipped:

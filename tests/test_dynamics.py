@@ -43,6 +43,12 @@ def test_params_validation():
     for arena, d_eye in ((4.0, 0.55), (0.0, 0.55), (-50.0, 0.55), (20.0, 10.0)):
         with pytest.raises(ValueError, match="four body-frame radii"):
             SimParams(arena=arena, d_eye=d_eye).validate()
+    # a collision distance above half the arena would put every pair in
+    # perception range in contact
+    SimParams(arena=10.0, collision_distance=5.0).validate()
+    for distance in (5.000000000000001, 7.5):
+        with pytest.raises(ValueError, match="half the arena"):
+            SimParams(arena=10.0, collision_distance=distance).validate()
     # a count must be an int (Python or numpy), never a float or a bool
     SimParams(n_agents=np.int64(3), horizon_steps=np.int32(5)).validate()
     for field, value in (("n_agents", 10.0), ("horizon_steps", 5.5), ("n_agents", True),
@@ -303,7 +309,8 @@ def test_reorientation_only_touches_stopping_rows():
 # ------------------------------------------------------------------ advance
 
 def advance_one(x, y, heading, speed, moving, params):
-    record = dyn.motion(np.array([heading]), np.array([speed]), np.array([moving]), params)
+    frames = perception.body_frames(np.array([heading]), params)
+    record = dyn.motion(frames, np.array([speed]), np.array([moving]), params)
     pos = dyn.advance(np.array([[x, y]]), record.disp, params)
     assert np.array_equal(record.disp, record.vel * params.dt)
     return pos[0]
@@ -327,8 +334,9 @@ def test_advance_wraps_at_boundary():
 
 
 def test_velocity_zero_when_stopped():
-    vel = dyn.motion(np.array([0.0, math.pi / 2]), np.array([20.0, 10.0]),
-                     np.array([True, False]), SimParams()).vel
+    params = SimParams()
+    vel = dyn.motion(perception.body_frames(np.array([0.0, math.pi / 2]), params),
+                     np.array([20.0, 10.0]), np.array([True, False]), params).vel
     assert vel[0] == pytest.approx([20.0, 0.0])
     assert np.array_equal(vel[1], [0.0, 0.0])
 
@@ -358,7 +366,8 @@ def cull_worlds(rng, params, count):
         heading[twins], speed[twins] = heading[0], speed[0]
         moving = rng.random(n) < 0.5
         moving[twins] = moving[0]
-        yield (pair_deltas(pos, params.arena) ** 2).sum(-1), dyn.motion(heading, speed,
+        frames = perception.body_frames(heading, params)
+        yield (pair_deltas(pos, params.arena) ** 2).sum(-1), dyn.motion(frames, speed,
                                                                       moving, params)
 
 

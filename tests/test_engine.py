@@ -42,7 +42,7 @@ def test_step_leaves_previous_world_untouched():
     world, _ = collision_course_scenario()
     before = {name: getattr(world, name).copy()
               for name in ("pos", "heading", "speed", "moving", "sigma",
-                           "contact", "t_enter")}
+                           "levels", "t_enter")}
     _, stops, _, _ = run_steps(world, 60)
     assert stops
     for name, value in before.items():
@@ -174,6 +174,55 @@ def test_separate_contact_episodes_recorded_separately():
     assert ts == sorted(ts) and len(set(ts)) == len(ts)
 
 
+def check_events_against_dist2(world, steps):
+    """Step a two-agent world, checking every step's collisions and encounters,
+    and its ``t_enter``, against a rule read off ``dist2`` alone: contact is a
+    centre distance below the collision distance and perception range one
+    below half the arena, neither holding before step 1; a collision is
+    recorded where contact begins, an encounter where range is left, spanning
+    the run of steps in range.  Returns the pair's transitions between
+    ``range_levels``, in order."""
+    params = world.params
+    streams = dynamics.trial_streams(0, 2)[1]
+    contact = seen = False
+    opened, level, transitions = -1, 2, []
+    for _ in range(steps):
+        world, events = engine.step(world, streams)
+        t, dist2 = world.time_step, world.dist2[0, 1]
+        now_contact = dist2 < params.collision_distance ** 2
+        now_seen = dist2 < (params.arena / 2) ** 2
+        assert events.stops == []
+        assert [(c.t, c.pair) for c in events.collisions] == (
+            [(t, (0, 1))] if now_contact and not contact else [])
+        assert [(e.pair, e.t_enter, e.t_exit) for e in events.encounters] == (
+            [((0, 1), opened, t)] if seen and not now_seen else [])
+        opened = (opened if seen else t) if now_seen else -1
+        assert (world.t_enter[0, 1], world.t_enter[1, 0]) == (opened, -1)
+        if world.levels[0, 1] != level:
+            transitions.append((level, int(world.levels[0, 1])))
+            level = int(world.levels[0, 1])
+        contact, seen = now_contact, now_seen
+    return transitions
+
+
+@pytest.mark.parametrize("collision_distance, start, transitions", [
+    # starts in contact, leaves range round the torus and comes back into contact
+    (1.2, (5.4375, 6.0), [(2, 0), (0, 1), (1, 2), (2, 1), (1, 0), (0, 1), (1, 2), (2, 1)]),
+    # on the line through the other centre it never leaves range: a second
+    # contact within the same open encounter
+    (4.5, (5.0625, 5.0), [(2, 0), (0, 1), (1, 0), (0, 1)]),
+])
+def test_level_transitions_give_the_dist2_events(collision_distance, start, transitions):
+    # a walker laps a 10 mm arena past an agent stopped at its centre; its
+    # step of 0.125 mm and its start keep every position exact and never half
+    # an arena away
+    params = replace(QUIET, arena=10.0, collision_distance=collision_distance)
+    world = world_of([agent(5.0, 5.0, 0.0, 25.0, moving=False),
+                      agent(*start, 0.0, 25.0)], params)
+    assert world.motion.disp[1].tolist() == [0.125, 0.0]
+    assert check_events_against_dist2(world, 120) == transitions
+
+
 # ------------------------------------------------------------- trial runner
 
 def test_run_trial_zero_horizon_empty():
@@ -217,7 +266,7 @@ def coin_step(world):
 def test_world_carries_velocity_and_centre_displacement():
     # the motion record (with the squared cull radii) and the body frames are
     # carried between steps and rebuilt only at stops and restarts, the range
-    # levels, contacts and open encounters only when a level changes: every
+    # levels and open encounters only when a level changes: every
     # world's equal fresh ones; the coin step is the next step after a walk
     # flag changes, else the first step with coin work
     stops = restarts_only = skips = 0
@@ -227,17 +276,17 @@ def test_world_carries_velocity_and_centre_displacement():
         assert np.array_equal(world.centre, min_image_delta(
             world.pos[:, None, :], world.pos[None, :, :], params.arena))
         assert np.array_equal(world.dist2, (world.centre ** 2).sum(-1))
-        fresh = (dynamics.motion(world.heading, world.speed, world.moving, params)
-                 + perception.body_frames(world.heading, params))
+        frames = perception.body_frames(world.heading, params)
+        fresh = dynamics.motion(frames, world.speed, world.moving, params) + frames
         for got, want in zip(world.motion + world.frames, fresh, strict=True):
             assert np.array_equal(got, want)
         if world.time_step:
             upper = np.triu(np.ones(world.dist2.shape, bool), k=1)
-            assert np.array_equal(world.contact,
+            assert np.array_equal(world.levels, engine.range_levels(world.dist2, params))
+            assert np.array_equal(upper & (world.levels == 0),
                                   upper & (world.dist2 < params.collision_distance ** 2))
             assert np.array_equal(world.t_enter >= 0,
                                   upper & (world.dist2 < (params.arena / 2) ** 2))
-            assert np.array_equal(world.levels, engine.range_levels(world.dist2, params))
             stopped = (previous.moving & ~world.moving).any()
             stops += stopped
             restarts_only += not stopped and (~previous.moving & world.moving).any()
@@ -247,27 +296,36 @@ def test_world_carries_velocity_and_centre_displacement():
             else:
                 assert world.next_coin == world.time_step <= coin_step(world)
         else:
-            assert (world.levels == 2).all() and not world.contact.any()
-            assert (world.t_enter == -1).all() and world.next_coin == 0
+            assert (world.levels == 2).all() and (world.t_enter == -1).all()
+            assert world.next_coin == 0
         previous = world
     assert stops > 0 and restarts_only > 0 and skips > 0
 
 
 def test_carried_arrays_are_read_only():
-    # consecutive worlds share the motion record (with the cull radii) unless
-    # a walk flag changed, the range levels unless one changed, and the body
-    # frames and the next lucky steps on quiet steps
+    # consecutive worlds share the speeds, the headings and body frames unless
+    # an agent stopped, the motion record (with the cull radii) unless a walk
+    # flag changed, the range levels unless one changed, the encounter steps
+    # unless one opened or closed, and the next lucky steps on quiet steps;
+    # writing into a shared array would change every later world
     shared = 0
     previous = None
     for world in _desk_and_crowd_worlds():
         assert not any(a.flags.writeable for a in world.motion + world.frames
-                       + (world.next_lucky, world.levels))
+                       + (world.heading, world.speed, world.next_lucky, world.levels,
+                          world.t_enter))
         if world.time_step:
+            assert world.speed is previous.speed
+            stopped = np.count_nonzero(previous.moving & ~world.moving)
+            assert (world.heading is previous.heading) == (world.frames is previous.frames)
+            assert (world.heading is previous.heading) == (not stopped)
             same_flags = np.array_equal(world.moving, previous.moving)
             assert (world.motion is previous.motion) == same_flags
             same_levels = np.array_equal(world.levels, previous.levels)
             assert (world.levels is previous.levels) == same_levels
-            assert (world.contact is previous.contact) == same_levels
+            same_enter = np.array_equal(world.t_enter, previous.t_enter)
+            assert (world.t_enter is previous.t_enter) == same_enter
+            assert same_enter or not same_levels
             shared += (same_levels and world.frames is previous.frames
                        and world.next_lucky is previous.next_lucky)
         previous = world

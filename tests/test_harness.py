@@ -96,6 +96,7 @@ BAD_CONFIGS = {
     "nan step": "dt = nan\n",
     "infinite arena": "R = inf\n",
     "arena within four body radii": "R = 4\n",
+    "collision distance above half the arena": "R = 10\ncollision_distance = 5.5\n",
     "negative infinite spread": "delta_sigma_deg = -inf\n",
     "ignored body length": "l = 2\n",
     "ignored point count": "n_points = 14\n",
@@ -366,15 +367,24 @@ def test_scatter_svg_markers_and_metadata(tmp_path):
     assert any("CVA=10" in t and "T_grm=1" in t for t in titles)
 
 
-def test_scatter_svg_bar_glyph_off_by_default(tmp_path):
-    rows = [SweepRow(45.0, 4.0, 32.0, 0, 1, 3, 1, 0, 0, 0.5, 0.9)]
-    plain = emit_scatter_svg(aggregate_rows(rows), tmp_path / "p.svg")
+def test_scatter_svg_one_bar_per_plotted_marker(tmp_path):
+    # every plotted cell's marker sits on one bar tilted by its CVA; a cell
+    # with an undefined mean gets neither
+    rows = [SweepRow(45.0, 4.0, 32.0, 0, 1, 3, 1, 0, 0, 0.5, 0.9),
+            SweepRow(10.0, 4.0, 32.0, 0, 1, 3, 1, 0, 0, 0.25, 0.6),
+            SweepRow(80.0, 4.0, 32.0, 0, 1, None, None, None, None, None, None)]
+    root = ET.parse(emit_scatter_svg(aggregate_rows(rows), tmp_path / "s.svg")).getroot()
     ns = "{http://www.w3.org/2000/svg}"
-    n_plain = len(ET.parse(plain).getroot().findall(f".//{ns}line"))
-    with_bars = emit_scatter_svg(aggregate_rows(rows), tmp_path / "b.svg",
-                                 bar_glyph=True)
-    n_bars = len(ET.parse(with_bars).getroot().findall(f".//{ns}line"))
-    assert n_bars == n_plain + 1
+    circles = root.findall(f".//{ns}circle")
+    bars = [line for line in root.findall(f".//{ns}line") if line.get("stroke") == "#555"]
+    assert len(circles) == len(bars) == 2
+    tilts = []
+    for circle, bar in zip(circles, bars):  # cells in (CVA 10, CVA 45) order
+        x1, y1, x2, y2 = (float(bar.get(k)) for k in ("x1", "y1", "x2", "y2"))
+        assert (x1 + x2) / 2 == pytest.approx(float(circle.get("cx")), abs=0.01)
+        assert (y1 + y2) / 2 == pytest.approx(float(circle.get("cy")), abs=0.01)
+        tilts.append(math.degrees(math.atan2(y1 - y2, x2 - x1)))
+    assert tilts == pytest.approx([10.0, 45.0], abs=0.2)
 
 
 def test_scatter_svg_empty_rejected(tmp_path):

@@ -16,8 +16,9 @@ def snapshot(*rows):
     """(pos, heading, vel) arrays from (x, y, heading, speed, moving) rows."""
     x, y, heading, speed, moving = (np.array(c) for c in zip(*rows))
     heading = heading.astype(float)
+    frames = per.body_frames(heading, SimParams())
     return (np.column_stack((x, y)).astype(float), heading,
-            motion(heading, speed.astype(float), moving.astype(bool), SimParams()).vel)
+            motion(frames, speed.astype(float), moving.astype(bool), SimParams()).vel)
 
 
 def row(x, y, heading, speed=20.0, moving=True):
@@ -38,12 +39,17 @@ def summaries(world, params, pairs):
 
 
 def test_walking_velocity_follows_body_axes():
-    # one heading convention: the motion record and the body frames share (cos h, sin h)
+    # agents walk head first, the head point (0, 1) of the body frame leading,
+    # in the world direction of the heading angle
     heading = np.random.default_rng(2).uniform(0.0, 2.0 * math.pi, 1000)
     speed = np.full(1000, 17.3)
-    vel = motion(heading, speed, np.ones(1000, bool), SimParams()).vel
-    want = speed[:, None] * per.body_frames(heading, SimParams()).axes.T
+    frames = per.body_frames(heading, SimParams())
+    vel = motion(frames, speed, np.ones(1000, bool), SimParams()).vel
+    assert tuple(per.BODY_OUTLINE[0]) == (0.0, 1.0)
+    want = speed[:, None] * frames.offsets[:, 0]
     assert np.array_equal(vel.view(np.uint64), want.view(np.uint64))
+    travel = np.arctan2(vel[:, 1], vel[:, 0])
+    assert np.abs(geo.wrap_angle(travel - heading)).max() < 1e-12
 
 
 def kept(world, params):
