@@ -217,6 +217,7 @@ def control_step(moving: np.ndarray, max_grm: np.ndarray, omega_loom: np.ndarray
     A walking agent stops iff its strongest GRM or its looming strength
     exceeds the threshold.  A stopped agent restarts only when it is
     ``lucky`` (``restart_coins``) and both signals are strictly below threshold.
+    Signals of K snapshots, (K, n), give each snapshot's flags, (K, n).
     """
     alarm = (max_grm > params.t_grm) | (omega_loom > params.t_loom)
     quiet = (max_grm < params.t_grm) & (omega_loom < params.t_loom)
@@ -241,8 +242,18 @@ def decay_sigma(sigma: np.ndarray, stopping: np.ndarray,
                 params: SimParams) -> np.ndarray:
     """Per-step spread recurrence: ``sigma' = decay * sigma``, plus the jump
     for agents stopping this step."""
-    decayed = params.sigma_decay * sigma
+    decayed = sigma_after(sigma, 1, params)
     return np.where(stopping, decayed + params.sigma_jump, decayed)
+
+
+def sigma_after(sigma: np.ndarray, steps: int, params: SimParams) -> np.ndarray:
+    """Spread after ``steps`` steps with no stop: ``sigma`` times the decay,
+    ``steps`` times over.  ``np.multiply.accumulate`` multiplies in sequence, so
+    its bits equal ``steps`` single decays, down to subnormal spreads."""
+    factors = np.empty((steps + 1, len(sigma)))
+    factors[0] = sigma
+    factors[1:] = params.sigma_decay
+    return np.multiply.accumulate(factors, out=factors)[-1]
 
 
 class Motion(NamedTuple):

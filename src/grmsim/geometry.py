@@ -59,8 +59,9 @@ def _min_image(delta: np.ndarray, side: float) -> np.ndarray:
 
 
 def pair_deltas(pos: np.ndarray, side: float) -> np.ndarray:
-    """(n, n, 2) minimum-image displacements pos[j] - pos[i] at row i, column j."""
-    return _min_image(pos[None, :, :] - pos[:, None, :], side)
+    """(..., n, n, 2) minimum-image displacements pos[..., j] - pos[..., i] at
+    row i, column j, for (..., n, 2) positions: one snapshot or a stack of them."""
+    return _min_image(pos[..., None, :, :] - pos[..., :, None, :], side)
 
 
 def azimuth(rel_pos, heading: float) -> float:

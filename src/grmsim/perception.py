@@ -28,6 +28,10 @@ or above the floor min(T_grm, T_loom) is then exact, with its causes, and
 every signal below it stays below it, so no stop or restart decision changes.
 ``world_summaries`` evaluates exactly the pairs it is handed, and when there
 are none it returns one shared, read-only zero summary.
+
+Between events the headings and velocities hold, so one call may evaluate
+several snapshots of the same world at once: ``pos`` then has a snapshot axis
+after its agent axis, and the pair mask and every output a leading one.
 """
 
 from __future__ import annotations
@@ -66,16 +70,21 @@ CAUSE_REL_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class PerceptSummary:
-    """Per-step reduction of all percepts; row i belongs to observer i.
+    """Per-snapshot reduction of all percepts; row i belongs to observer i.
 
     ``by_source[c, i, j]`` is the strongest rate of source j seen by
     observer i on channel c: GRM, outward motion in the left body hemifield
     (counter-clockwise) and outward motion in the right one (clockwise).
+    A summary of K snapshots has a snapshot axis before the observer axis.
     """
 
-    max_grm: np.ndarray     # (n,)
-    omega_loom: np.ndarray  # (n,)
-    by_source: np.ndarray   # (3, n, n)
+    max_grm: np.ndarray     # (n,), or (K, n)
+    omega_loom: np.ndarray  # (n,), or (K, n)
+    by_source: np.ndarray   # (3, n, n), or (3, K, n, n)
+
+    def snapshot(self, k: int) -> "PerceptSummary":
+        """Snapshot k's summary, of a summary of K snapshots."""
+        return PerceptSummary(self.max_grm[k], self.omega_loom[k], self.by_source[:, k])
 
     def causes(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Observer i's (GRM, looming) cause masks over the sources.
@@ -133,37 +142,41 @@ def body_frames(heading: np.ndarray, params: SimParams) -> Frames:
 
 
 @functools.lru_cache(maxsize=None)
-def _no_percepts(n: int) -> PerceptSummary:
-    """Shared, read-only summary of n observers that see nothing."""
-    zeros = np.zeros((3, n, n))
-    zeros.flags.writeable = False
-    return PerceptSummary(zeros[0, 0], zeros[0, 0], zeros)
+def _no_percepts(n: int, snapshots: tuple[int, ...]) -> PerceptSummary:
+    """Shared, read-only summary of n observers that see nothing in ``snapshots``;
+    a ``broadcast_to`` view, so a cached summary of many snapshots holds no array."""
+    zeros = np.broadcast_to(0.0, (3, *snapshots, n, n))
+    return PerceptSummary(zeros[0, ..., 0, :], zeros[0, ..., 0, :], zeros)
 
 
 def world_summaries(pos: np.ndarray, frames: Frames, rel_vel: np.ndarray,
                     params: SimParams, pairs: np.ndarray) -> PerceptSummary:
-    """Percept summary for every agent against one frozen snapshot.
+    """Percept summary for every agent against one frozen snapshot, or several.
 
-    ``pos`` is (n, 2), row i being agent i; ``frames`` is
-    ``body_frames(heading, params)`` and ``rel_vel`` is ``Motion.rel_vel``.
-    Only the (observer, source) pairs in the (n, n) bool mask ``pairs`` are
+    ``pos`` is (n, 2), row i being agent i, or (n, K, 2) for K snapshots of
+    the same headings and velocities; ``frames`` is ``body_frames(heading,
+    params)`` and ``rel_vel`` is ``Motion.rel_vel``.  Only the (observer,
+    source) pairs in the (n, n), or (K, n, n), bool mask ``pairs`` are
     evaluated; every other entry is 0.  An observer sees neither its own body
     nor a point on an eye center, and a source at zero relative velocity has
-    rates of exactly 0, so ``np.ones((n, n), bool)`` gives every signal exact.
+    rates of exactly 0, so an all-true mask gives every signal exact.  Each
+    entry is computed alike whatever the other snapshots, so a K-snapshot
+    call has the bits of K single-snapshot ones.
 
     The eyes and the body centre are the three viewpoints of one pass.  The
     centre is ``pos`` exactly (zero offsets), so its left coordinate is the
     side of the observer's spine a point lies on.
     """
     n = len(pos)
-    ii, jj = np.nonzero(pairs)
+    snapshots = pos.shape[1:-1]
+    kk, ii, jj = np.nonzero(pairs.reshape(-1, n, n))
     if not len(ii):
-        return _no_percepts(n)
+        return _no_percepts(n, snapshots)
     lo, hi = _body(params.d_eye, params.cva, params.ipsi_field)[2:]
-    world = pos[:, None, :] + frames.offsets  # (n, 17, 2)
+    world = pos.reshape(n, -1, 1, 2) + frames.offsets[:, None]  # (n, K, 17, 2)
 
     # (pair, viewpoint, point, axis): observer left eye, right eye, centre to source
-    d = _min_image(world[jj, None, :-3] - world[ii, -3:, None], params.arena)
+    d = _min_image(world[jj, kk, None, :-3] - world[ii, kk, -3:, None], params.arena)
     dx, dy = d[..., 0], d[..., 1]
     # observer frame: forward is the heading, left its CCW normal
     hx, hy = frames.axes[:, ii, None, None]
@@ -184,9 +197,9 @@ def world_summaries(pos: np.ndarray, frames: Frames, rel_vel: np.ndarray,
     side = left[:, 2:]
     ccw = np.where(side > 0.0, rate, 0.0).max(axis=(1, 2))
     cw = np.where(side < 0.0, -rate, 0.0).max(axis=(1, 2))
-    by_source = np.zeros((3, n, n))
-    by_source[:, ii, jj] = np.maximum((grm, ccw, cw), 0.0)
+    by_source = np.zeros((3, *snapshots, n, n))
+    by_source.reshape(3, -1, n, n)[:, kk, ii, jj] = np.maximum((grm, ccw, cw), 0.0)
 
-    best = by_source.max(axis=2)
+    best = by_source.max(axis=-1)
     # looming is 0 unless both sides see outward motion
     return PerceptSummary(best[0], np.minimum(best[1], best[2]), by_source)

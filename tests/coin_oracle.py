@@ -4,7 +4,8 @@
 rule they replace: at every step each stopped agent, in row order, draws one
 uniform coin from its own stream and is lucky when it lands below
 ``p_restart``; nothing is ever drawn ahead, and neither ``next_lucky`` nor
-``next_coin`` is read.
+``next_coin`` is read.  Every step then has coin work, so the next coin step
+it returns is always the next step.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ def one_coin_per_step(t, moving, next_lucky, next_coin, params, rngs):
     lucky = np.zeros_like(moving)
     for i in np.flatnonzero(~moving):
         lucky[i] = rngs[i].random() < params.p_restart
-    return lucky, next_lucky, next_coin
+    return lucky, next_lucky, t + 1
 
 
 def use_one_coin_per_step(monkeypatch) -> None:

@@ -1,9 +1,9 @@
 """Deterministic two-agent and wall scenarios shared by engine and acceptance tests.
 
-Each builder returns (world, params); row i of the world is agent i.  All
-scenarios disable spontaneous restarts so the first stop ends the
-interesting part of the episode, and set the looming threshold to the
-32 rad/s sentinel so only the GRM channel acts unless stated otherwise.
+Each builder returns (world, params); row i of the world is agent i.  Unless
+stated otherwise the scenarios disable spontaneous restarts, so the first
+stop ends the interesting part of the episode, and set the looming threshold
+to the 32 rad/s sentinel, so only the GRM channel acts.
 """
 
 import math
@@ -14,9 +14,9 @@ from grmsim import engine
 from grmsim.dynamics import SimParams
 
 
-def fixture_params(t_grm, cva_deg=30.0, t_loom=32.0):
+def fixture_params(t_grm, cva_deg=30.0, t_loom=32.0, p_restart=0.0):
     return SimParams(t_grm=t_grm, t_loom=t_loom, cva=math.radians(cva_deg),
-                     p_restart=0.0, horizon_steps=0)
+                     p_restart=p_restart, horizon_steps=0)
 
 
 def agent(x, y, heading, speed, moving=True):
@@ -76,10 +76,11 @@ def collision_course_scenario():
     return world_of([observer, crosser], params), params
 
 
-def wall_scenario(seed):
-    """One mover, the last row, aimed into a line of stopped agents spanning the arena."""
+def wall_scenario(seed, p_restart=0.0):
+    """One mover, the last row, aimed into a line of stopped agents spanning the
+    arena; the stopped agents restart with probability ``p_restart`` per step."""
     rng = np.random.default_rng(seed)
-    params = fixture_params(t_grm=2.0, cva_deg=30.0)
+    params = fixture_params(t_grm=2.0, cva_deg=30.0, p_restart=p_restart)
     wall = [agent(1.0 + 2.0 * i, 40.0, math.pi / 2, 10.0, moving=False)
             for i in range(24)]
     angle_from_normal = rng.uniform(-0.7, 0.7)

@@ -136,8 +136,7 @@ def test_crowd_coins_match_one_per_step(monkeypatch, p):
 def test_coins_of_agents_stopped_at_step_zero(monkeypatch, p, steps):
     # the wall's 24 agents start stopped with no coin drawn; at p = 0 they draw
     # a second block at step 4096
-    world, params = wall_scenario(5)
-    world = replace(world, params=replace(params, p_restart=p))
+    world, _ = wall_scenario(5, p_restart=p)
     run = drawn_ahead_matches_oracle(world, 5, steps, monkeypatch)
     check_work(run, p)
     if p == 0.0:

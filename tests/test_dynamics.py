@@ -267,6 +267,21 @@ def test_sigma_decays_geometrically():
     assert sigma[0] == pytest.approx(start[0] * 0.992 ** 50)
 
 
+def test_sigma_after_k_steps_has_the_bits_of_k_decays():
+    # the engine decays a stretch of k steps in one call: for every k up to
+    # 10 000 its bits equal k single steps, with spreads that start subnormal
+    # (1e-310) or decay into subnormals, where rounding stalls them (1e-300
+    # ends at 62 ulps of 2 ** -1074, not 1e-300 * 0.992 ** 10000 ~ 2e-335)
+    params = SimParams()
+    sigma = np.array([math.radians(30), 0.7, 1e-300, 1e-310, 5e-324, 0.0])
+    stepped = sigma
+    for k in range(1, 10_001):
+        stepped = dyn.decay_sigma(stepped, np.zeros(len(sigma), bool), params)
+        at_once = dyn.sigma_after(sigma, k, params)
+        assert np.array_equal(at_once.view(np.int64), stepped.view(np.int64)), k
+    assert stepped[2] == 62 * 5e-324 and 0.0 < stepped[3] < np.finfo(float).tiny
+
+
 def test_two_quick_stops_roughly_double_sigma():
     params = SimParams()
     sigma2 = dyn.decay_sigma(dyn.decay_sigma(np.zeros(1), STOPPING, params), STOPPING, params)[0]
@@ -422,16 +437,16 @@ def test_pair_culling_leaves_trials_unchanged(monkeypatch, n_agents, t_grm, t_lo
     skipped, emptied_rows = 0, 0
 
     def every_pair(pos, frames, rel_vel, params, pairs):
+        # pos is agent first, (n, K, 2), and pairs (K, n, n), for K snapshots
         nonlocal skipped, emptied_rows
         moving_apart = rel_vel.any(axis=-1)
         skipped += int((moving_apart & ~pairs).sum())
         # rows the cull alone keeps, left empty by the observer mask
         rel_speed = np.hypot(rel_vel[..., 0], rel_vel[..., 1])
-        dist2 = (pair_deltas(pos, params.arena) ** 2).sum(axis=-1)
+        dist2 = (pair_deltas(pos.swapaxes(0, 1), params.arena) ** 2).sum(axis=-1)
         kept = dist2 <= dyn.cull_reach2(rel_speed, params)
-        emptied_rows += int((kept.any(axis=1) & ~pairs.any(axis=1)).sum())
-        n = len(pos)
-        return exact_summaries(pos, frames, rel_vel, params, np.ones((n, n), bool))
+        emptied_rows += int((kept.any(axis=-1) & ~pairs.any(axis=-1)).sum())
+        return exact_summaries(pos, frames, rel_vel, params, np.ones_like(pairs))
 
     monkeypatch.setattr(perception, "world_summaries", every_pair)
     exact = engine.run_trial(params, seed)

@@ -110,15 +110,21 @@ def test_stopping_agent_does_not_move_on_stop_step():
 
 
 def test_synchronous_update_uses_snapshot_percepts():
-    # moving both agents by hand one step and recomputing percepts gives the
-    # same stop decision the engine made from the frozen snapshot
-    world, params = collision_course_scenario()
-    summary = perception.world_summaries(world.pos, world.frames, world.motion.rel_vel,
-                                         params, np.ones((2, 2), bool))
-    streams = dynamics.trial_streams(0, 2)[1]
-    _, ev = engine.step(world, streams)
-    should_stop = summary.max_grm[0] > params.t_grm
-    assert bool(ev.stops) == should_stop or not should_stop
+    # agent 0's GRM on the collision course is 1.507 rad/s in the step-0
+    # snapshot and 1.595 after one step: a threshold of 1.5 stops it at step
+    # 0, one of 1.55 only at step 1, both in a one-step call and in a stretch
+    scenario, _ = collision_course_scenario()
+    for t_grm, first_stop in ((1.5, 0), (1.55, 1)):
+        params = fixture_params(t_grm=t_grm)
+        world = engine.make_world(scenario.pos, scenario.heading, scenario.speed, params)
+        summary = perception.world_summaries(world.pos, world.frames, world.motion.rel_vel,
+                                             params, np.ones((2, 2), bool))
+        assert summary.max_grm[0] == pytest.approx(1.5066, abs=1e-4)
+        _, ev = engine.step(world, dynamics.trial_streams(0, 2)[1])
+        assert bool(ev.stops) == (first_stop == 0)
+        after, ev = engine.step(world, dynamics.trial_streams(0, 2)[1], steps=16)
+        assert [(s.t, s.agent) for s in ev.stops] == [(first_stop, 0)]
+        assert after.time_step == first_stop + 1
 
 
 # --------------------------------------------------------------- collisions
@@ -378,6 +384,104 @@ def test_restart_coins_drawn_before_perception(monkeypatch):
             firsts[-1] += 1
     assert firsts == [3, 2]
     assert states == [[r.bit_generator.state for r in fresh]]
+
+
+STRETCH_CELLS = {
+    "desk": {},
+    "T = 32": dict(t_grm=32.0, t_loom=32.0),
+    "low floor": dict(cva=0.0, t_grm=0.1, t_loom=4.0),
+    "crowd": dict(n_agents=30, t_grm=1.0, t_loom=4.0),
+    "p_restart 1": dict(p_restart=1.0),
+    "p_restart 0": dict(p_restart=0.0),
+    "CVA 90": dict(cva=math.radians(90.0)),
+}
+
+
+def one_step_trial(params, seed):
+    """Every world of a trial advanced by one-step calls, and its records."""
+    init_rng, streams = dynamics.trial_streams(seed, params.n_agents)
+    worlds = [engine.make_world(*dynamics.init_agents(params, init_rng), params)]
+    stops, collisions, encounters = [], [], []
+    for _ in range(params.horizon_steps):
+        world, events = engine.step(worlds[-1], streams)
+        assert events.positions == [world.pos]
+        worlds.append(world)
+        stops += events.stops
+        collisions += events.collisions
+        encounters += events.encounters
+    return worlds, stops, collisions, encounters
+
+
+def stop_rows(stops):
+    return [(s.t, s.agent, s.cause_agents, s.channel, s.rel_pos.tobytes(), s.rel_vel.tobytes())
+            for s in stops]
+
+
+def world_arrays(world):
+    return (world.pos, world.heading, world.speed, world.moving, world.sigma, world.t_enter,
+            *world.motion, *world.frames, world.centre, world.dist2, world.levels,
+            world.next_lucky)
+
+
+def check_stretches_match_one_step_calls(cell, seed, steps, monkeypatch):
+    """``run_trial``, which takes event-free stretches in one call, gives the
+    records, labels, last world and logged trajectory of one-step calls; its
+    percept calls hold at most ``MAX_SNAPSHOTS`` snapshots and, past their
+    first snapshot's, ``PAIR_BUDGET`` kept pairs."""
+    desk = config.parse_config(DESK).params
+    params = replace(desk, horizon_steps=steps, **STRETCH_CELLS[cell])
+    worlds, stops, collisions, encounters = one_step_trial(params, seed)
+
+    stepper, summaries = engine.step, perception.world_summaries
+    calls, kernel = [], []
+
+    def record_step(world, rngs, steps=1):
+        new_world, events = stepper(world, rngs, steps)
+        calls.append(new_world)
+        return new_world, events
+
+    def record_kernel(pos, frames, rel_vel, params, pairs):
+        kernel.append((pos.shape[1], np.count_nonzero(pairs)))
+        return summaries(pos, frames, rel_vel, params, pairs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "step", record_step)
+        patch.setattr(perception, "world_summaries", record_kernel)
+        result = engine.run_trial(params, seed, log_trajectories=True)
+
+    assert stop_rows(result.stops) == stop_rows(stops)
+    assert result.collisions == collisions and result.encounters == encounters
+    assert result.stop_labels == analysis.label_stops(stops, params)
+    last = calls[-1]
+    assert (last.time_step, last.next_coin) == (worlds[-1].time_step, worlds[-1].next_coin)
+    for got, want in zip(world_arrays(last), world_arrays(worlds[-1]), strict=True):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    trajectory = result.trajectory
+    for got, want in ((trajectory.pos, [w.pos for w in worlds]),
+                      (trajectory.heading, [w.heading for w in worlds]),
+                      (trajectory.moving, np.array([w.moving for w in worlds], dtype=int))):
+        assert got.tobytes() == np.array(want).tobytes()
+
+    snapshots = np.array([k for k, _ in kernel])
+    assert len(calls) < steps and snapshots.max() > 1
+    assert snapshots.max() <= engine.MAX_SNAPSHOTS
+    assert all(k == 1 or kept <= engine.PAIR_BUDGET for k, kept in kernel)
+    return result
+
+
+@pytest.mark.parametrize("cell, seed", [("desk", 3), ("T = 32", 2), ("low floor", 1)])
+def test_stretches_match_one_step_calls(cell, seed, monkeypatch):
+    # seeds whose 300 steps hold restarts, so stretches end at coin steps too
+    moving = check_stretches_match_one_step_calls(cell, seed, 300, monkeypatch).trajectory.moving
+    assert ((moving[:-1] == 1) & (moving[1:] == 0)).any()
+    assert ((moving[:-1] == 0) & (moving[1:] == 1)).any()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("cell", STRETCH_CELLS)
+def test_stretches_match_one_step_calls_in_every_cell(cell, seed, monkeypatch):
+    check_stretches_match_one_step_calls(cell, seed, 2000, monkeypatch)
 
 
 def test_every_stop_transition_yields_one_record():

@@ -1,13 +1,16 @@
 import itertools
 import math
+import pathlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from grmsim import dynamics, engine
 from grmsim import geometry as geo
 from grmsim import perception as per
 from grmsim.dynamics import SimParams, cull_reach2, motion
+from grmsim.harness import config
 from percept_oracle import (PointPercept, detect_grm, kernel_row, looming_strength,
                             project_points, summarize)
 
@@ -474,3 +477,42 @@ def test_kept_pairs_skip_only_zero_relative_velocity_at_floor_zero():
         vel = world[2]
         moving_apart = (vel[None, :, :] != vel[:, None, :]).any(axis=-1)
         assert np.array_equal(kept(world, params), moving_apart)
+
+
+# ------------------------------------------------------------ snapshot stacks
+
+def arrays(summary):
+    return summary.max_grm, summary.omega_loom, summary.by_source
+
+
+@pytest.mark.parametrize("n_agents, t_grm, t_loom", [(10, 6.0, 32.0), (30, 1.0, 4.0)])
+def test_snapshot_stack_has_the_bits_of_single_snapshots(n_agents, t_grm, t_loom):
+    # one call over K snapshots of a world moving with its own velocities, as
+    # the engine makes between events, equals K one-snapshot calls bit for bit
+    # (signed zeros included), over the culled pairs and over every pair; in
+    # worlds of a desk trial and of an N = 30 crowd one
+    desk = config.parse_config(pathlib.Path(__file__).resolve().parents[1]
+                               / "configs" / "desk.cfg").params
+    params = replace(desk, n_agents=n_agents, t_grm=t_grm, t_loom=t_loom)
+    init_rng, streams = dynamics.trial_streams(3, n_agents)
+    world = engine.make_world(*dynamics.init_agents(params, init_rng), params)
+    seen = 0
+    for _ in range(8):
+        for _ in range(41):
+            world, _ = engine.step(world, streams)
+        track = [world.pos]
+        for _ in range(engine.MAX_SNAPSHOTS - 1):
+            track.append(dynamics.advance(track[-1], world.motion.disp, params))
+        track = np.array(track)
+        dist2 = (geo.pair_deltas(track, params.arena) ** 2).sum(axis=-1)
+        for pairs in (dist2 <= world.motion.reach2, np.ones(dist2.shape, bool)):
+            stack = per.world_summaries(track.swapaxes(0, 1), world.frames,
+                                        world.motion.rel_vel, params, pairs)
+            for k, pos in enumerate(track):
+                single = per.world_summaries(pos, world.frames, world.motion.rel_vel,
+                                             params, pairs[k])
+                for got, want in zip(arrays(stack.snapshot(k)), arrays(single), strict=True):
+                    assert got.shape == want.shape
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                seen += np.count_nonzero(single.by_source)
+    assert seen > 0
