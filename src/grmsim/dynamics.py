@@ -17,9 +17,8 @@ A stopped agent flips one restart coin per step, drawn ahead, and
 in one call, rewinds its stream to just after the first lucky one and carries
 that coin's step.  Each stream is where one coin per stopped step would leave
 it at the agent's next reorientation, so trials are unchanged.  It also
-returns the first step at which any stopped agent has a lucky coin or a
-block due; until then, while the walk flags hold, a step's coins cost one
-comparison.
+returns the first step after t at which any stopped agent has a lucky coin
+or a block due.
 
 ``motion`` builds the arrays that change only when a walk flag does, among
 them each pair's squared cull radius (``cull_reach2``), the one rule for
@@ -28,7 +27,6 @@ which pairs the perception kernel evaluates.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -154,12 +152,6 @@ def init_agents(params: SimParams, rng: RngStream
 NEVER = np.iinfo(np.int64).max
 
 
-@functools.lru_cache(maxsize=None)
-def _no_agents(n: int) -> np.ndarray:
-    """Read-only (n,) all-False mask (``broadcast_to`` views are read-only)."""
-    return np.broadcast_to(False, n)
-
-
 def _coin_block(p: float) -> int:
     """Coins drawn at once: one at p = 1, else enough that a block holds no lucky
     coin at most one time in 64, capped at 4096 (for p = 0 and tiny p)."""
@@ -168,11 +160,11 @@ def _coin_block(p: float) -> int:
     return 4096 if p <= 0.0 else math.ceil(min(4096.0, math.log(64.0) / -math.log1p(-p)))
 
 
-def restart_coins(t: int, moving: np.ndarray, next_lucky: np.ndarray, next_coin: int,
+def restart_coins(t: int, moving: np.ndarray, next_lucky: np.ndarray,
                   params: SimParams, rngs: list[RngStream]
                   ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Step t's lucky stopped agents, and the read-only ``next_lucky`` and the
-    ``next_coin`` to carry.
+    """Step t's lucky stopped agents, the read-only ``next_lucky`` to carry and
+    the first step after t with coin work.
 
     An entry is the step of the agent's next lucky coin (below ``p_restart``),
     its stream rewound to just after it, or ``~s`` when its block held none, s
@@ -181,15 +173,10 @@ def restart_coins(t: int, moving: np.ndarray, next_lucky: np.ndarray, next_coin:
     world's ``~0``) first draws a block of coins from step t on; a block of k
     coins is one ``Generator.random(k)``, which equals k single draws.
 
-    ``next_coin`` is the carried step before which no stopped agent has a
-    lucky coin or a block due: at a t before it the call returns at once,
-    with no agent lucky and nothing drawn.  It holds only while the walk
-    flags stay as they were, so a caller whose flags changed at step t - 1
-    passes t.  The returned one is the first step after t with coin work,
-    or ``NEVER`` when no agent is stopped.
+    The coin step returned is the first step after t at which a stopped
+    agent has a lucky coin or a block due, or ``NEVER`` when no agent is
+    stopped; while the walk flags hold, no step before it has coin work.
     """
-    if t < next_coin:
-        return _no_agents(len(moving)), next_lucky, next_coin
     stopped = ~moving
     due = stopped & (next_lucky < t) & (~next_lucky <= t)
     if np.count_nonzero(due):
@@ -206,8 +193,8 @@ def restart_coins(t: int, moving: np.ndarray, next_lucky: np.ndarray, next_coin:
                 next_lucky[i] = ~(t + k)
         next_lucky.flags.writeable = False
     # every stopped entry now reaches t: a lucky step, or ~s with s > t
-    due_at = np.where(stopped, np.maximum(next_lucky, ~next_lucky), NEVER)
-    return stopped & (next_lucky == t), next_lucky, max(int(due_at.min()), t + 1)
+    due_at = np.maximum(next_lucky, ~next_lucky).min(where=stopped, initial=NEVER)
+    return stopped & (next_lucky == t), next_lucky, max(int(due_at), t + 1)
 
 
 def control_step(moving: np.ndarray, max_grm: np.ndarray, omega_loom: np.ndarray,

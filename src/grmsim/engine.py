@@ -11,9 +11,8 @@ events, so a step between events does no event work:
 * its ``perception.Frames``, rebuilt at stops, whose heading unit vectors
   build its ``dynamics.Motion``, with each pair's squared cull radius,
   rebuilt when a walk flag changes;
-* each agent's next lucky restart step ``next_lucky`` and the world's
-  ``next_coin`` step; ``dynamics.restart_coins`` alone draws coins, and
-  before ``next_coin`` it returns at once.
+* each agent's next lucky restart step ``next_lucky``;
+  ``dynamics.restart_coins`` alone draws coins.
 
 One step: read the stopped agents' restart coins, compute the walking and
 lucky agents' percept summaries over the pairs within their cull radius
@@ -33,10 +32,10 @@ stretch of such steps in one pass: it advances the positions of the next
 snapshots one step at a time, measures their pairs in one ``pair_deltas``
 call and evaluates their percepts in one ``world_summaries`` call, and
 accepts every snapshot before the first whose walk flags change.  That step
-is then taken as a single step is.  The contacts and encounters of a
-stretch come from its snapshots' range levels in step order, and the spread
-decays by the stretch's product in sequence, so every output has the bits
-of one step at a time.
+is then taken as a single step is.  A call's contacts and encounters come
+from one pass over the range levels after each of its steps, in step order,
+and the spread decays by the stretch's product in sequence, so every output
+has the bits of one step at a time.
 
 Everything is deterministic in (params, seed): each agent consumes
 randomness only from its own stream.
@@ -117,10 +116,9 @@ class WorldState:
     motion: dynamics.Motion     # dynamics.motion(frames, speed, moving, params)
     frames: perception.Frames   # perception.body_frames(heading, params)
     centre: np.ndarray   # (n, n, 2), geometry.pair_deltas(pos, arena)
-    dist2: np.ndarray    # (n, n), (centre ** 2).sum(axis=-1)
+    dist2: np.ndarray    # (n, n), centre[..., 0] ** 2 + centre[..., 1] ** 2
     levels: np.ndarray   # (n, n) int, read-only, range_levels(dist2, params)
     next_lucky: np.ndarray  # (n,) int, read-only, see dynamics.restart_coins
-    next_coin: int       # see dynamics.restart_coins
 
 
 def make_world(pos, heading, speed, params: SimParams, moving=True) -> WorldState:
@@ -137,7 +135,7 @@ def make_world(pos, heading, speed, params: SimParams, moving=True) -> WorldStat
     centre = pair_deltas(pos, params.arena)
     return WorldState(0, pos, heading, speed, moving, np.zeros(n), params, t_enter,
                       dynamics.motion(frames, speed, moving, params), frames, centre,
-                      (centre ** 2).sum(axis=-1), levels, next_lucky, 0)
+                      centre[..., 0] ** 2 + centre[..., 1] ** 2, levels, next_lucky)
 
 
 @functools.lru_cache(maxsize=None)
@@ -201,10 +199,10 @@ def step(world: WorldState, rngs: list[RngStream],
     params = world.params
     t = world.time_step
     # an unlucky stopped agent stays stopped whatever it sees, and a rate below
-    # both thresholds changes no decision, so neither is evaluated; no agent is
-    # lucky at a step before next_coin, and at t only if next_coin is t + 1
+    # both thresholds changes no decision, so neither is evaluated; while the
+    # walk flags hold, no step before the coin step has a lucky agent
     lucky, next_lucky, next_coin = dynamics.restart_coins(
-        t, world.moving, world.next_lucky, world.next_coin, params, rngs)
+        t, world.moving, world.next_lucky, params, rngs)
     observers = (world.moving | lucky)[:, None]
     kept = (world.dist2 <= world.motion.reach2) & observers
     first = np.count_nonzero(kept)
@@ -218,7 +216,7 @@ def step(world: WorldState, rngs: list[RngStream],
     kept = kept[None]
     if snaps > 1:
         centres = pair_deltas(track[1:], params.arena)
-        dist2s = (centres ** 2).sum(axis=-1)
+        dist2s = centres[..., 0] ** 2 + centres[..., 1] ** 2
         ahead = (dist2s <= world.motion.reach2) & observers
         running = first + np.count_nonzero(ahead, axis=(1, 2)).cumsum()
         snaps = 1 + int(running.searchsorted(PAIR_BUDGET, side="right"))
@@ -234,12 +232,7 @@ def step(world: WorldState, rngs: list[RngStream],
     last = first_change // n if flipped else snaps - 1
 
     events = StepEvents(list(track[1:last + 1]))
-    levels, t_enter = world.levels, world.t_enter
-    sigma = world.sigma
-    if last:
-        levels, t_enter = _level_events(t, range_levels(dist2s[:last], params),
-                                        levels, t_enter, events)
-        sigma = dynamics.sigma_after(sigma, last, params)
+    sigma = dynamics.sigma_after(world.sigma, last, params) if last else world.sigma
 
     # the last snapshot's step
     t_last = t + last
@@ -248,7 +241,6 @@ def step(world: WorldState, rngs: list[RngStream],
     heading, motion, frames = world.heading, world.motion, world.frames
     # headings change only at stops, velocities at stops and restarts
     if flipped:
-        next_coin = t_last + 1
         if np.count_nonzero(stopping):
             heading = dynamics.reorient_on_stop(world.heading, sigma, stopping, rngs)
             heading.flags.writeable = False
@@ -263,11 +255,13 @@ def step(world: WorldState, rngs: list[RngStream],
     events.positions.append(pos)
 
     centre = pair_deltas(pos, params.arena)
-    dist2 = (centre ** 2).sum(axis=-1)
-    levels, t_enter = _level_events(t_last, range_levels(dist2, params)[None],
-                                    levels, t_enter, events)
+    dist2 = centre[..., 0] ** 2 + centre[..., 1] ** 2
+    # the range levels after steps t + 1 ... t_last + 1
+    rows = np.concatenate((dist2s[:last], dist2[None])) if last else dist2[None]
+    levels, t_enter = _level_events(t, range_levels(rows, params), world.levels,
+                                    world.t_enter, events)
     new_world = WorldState(t_last + 1, pos, heading, world.speed, moving, sigma, params,
-                           t_enter, motion, frames, centre, dist2, levels, next_lucky, next_coin)
+                           t_enter, motion, frames, centre, dist2, levels, next_lucky)
     return new_world, events
 
 

@@ -10,6 +10,7 @@ from grmsim import engine, perception
 from grmsim.dynamics import SimParams
 from grmsim.geometry import min_image_delta, pair_deltas
 from grmsim.harness import config
+from coin_oracle import one_coin_per_step
 
 DESK = pathlib.Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
 
@@ -155,7 +156,7 @@ def test_restart_coins_drawn_ahead_by_stopped_agents_only():
     rngs = [np.random.default_rng(k) for k in range(4)]
     moving = np.array([True, False, False, True])
     start = np.full(4, ~0)
-    lucky, next_lucky, next_coin = dyn.restart_coins(0, moving, start, 0, params, rngs)
+    lucky, next_lucky, next_coin = dyn.restart_coins(0, moving, start, params, rngs)
     assert not next_lucky.flags.writeable and np.array_equal(start, np.full(4, ~0))
     assert next_coin == max(min(next_lucky[1:3]), 1)
     for k, stream in enumerate(rngs):
@@ -179,7 +180,7 @@ def test_restart_coins_draw_exactly_when_an_entry_does_not_reach_the_step():
     moving = np.array([False] * 6 + [True])
     draws = [True, True, True, False, False, False, False]
     rngs = [np.random.default_rng(40 + i) for i in range(7)]
-    lucky, next_lucky, next_coin = dyn.restart_coins(t, moving, entries.copy(), t, params, rngs)
+    lucky, next_lucky, next_coin = dyn.restart_coins(t, moving, entries.copy(), params, rngs)
     for i, stream in enumerate(rngs):
         fresh = np.random.default_rng(40 + i)
         want = entries[i]
@@ -204,47 +205,32 @@ def coin_step(t, moving, next_lucky):
     return min(due, default=dyn.NEVER)
 
 
-def test_restart_coins_before_the_coin_step_draw_nothing():
-    # stale entries are due, but before the carried step the call returns at
-    # once: no lucky agent, the same entries, nothing drawn
-    params = SimParams(p_restart=0.5)
-    entries = np.array([3, ~7, ~0, 9])
-    entries.flags.writeable = False
-    moving = np.array([False, False, False, True])
-    rngs = [np.random.default_rng(60 + i) for i in range(4)]
-    lucky, next_lucky, next_coin = dyn.restart_coins(7, moving, entries, 8, params, rngs)
-    assert not lucky.any() and not lucky.flags.writeable and lucky.shape == (4,)
-    assert next_lucky is entries and next_coin == 8
-    for i, stream in enumerate(rngs):
-        assert stream.bit_generator.state == np.random.default_rng(60 + i).bit_generator.state
-    # at the carried step the stale entries draw
-    lucky, next_lucky, next_coin = dyn.restart_coins(8, moving, entries, 8, params, rngs)
-    assert ((next_lucky[:3] >= 8) | (~next_lucky[:3] > 8)).all() and lucky.flags.writeable
-    assert next_coin == max(coin_step(8, moving, next_lucky), 9)
-
-
-@pytest.mark.parametrize("p", [0.008, 0.5, 1.0, 0.0])
-def test_carried_coin_step_skips_only_steps_without_coin_work(p):
-    # with the walk flags held, carrying next_coin gives every step's lucky
-    # agents and leaves every stream as a call that never skips
+@pytest.mark.parametrize("p", [0.0, 0.008, 0.5, 1.0])
+def test_coin_step_is_the_first_step_with_coin_work(p):
+    # with the walk flags held, every step's lucky agents are the one-coin
+    # oracle's, the coin step returned is the first later step whose entry
+    # falls due, and once the oracle has flipped every coin drawn ahead, it
+    # leaves every stream where the drawn-ahead calls did
     params = SimParams(p_restart=p)
     moving = np.random.default_rng(3).random(12) < 0.3
-    carried = [np.random.default_rng(80 + i) for i in range(12)]
-    always = [np.random.default_rng(80 + i) for i in range(12)]
-    entries_c = entries_a = np.full(12, ~0)
-    next_coin, skipped = 0, 0
-    for t in range(5000):
-        skipped += t < next_coin
-        got, entries_c, next_coin = dyn.restart_coins(t, moving, entries_c, next_coin,
-                                                      params, carried)
-        want, entries_a, _ = dyn.restart_coins(t, moving, entries_a, t, params, always)
-        assert np.array_equal(got, want) and np.array_equal(entries_c, entries_a), t
-        assert next_coin == max(coin_step(t, moving, entries_c), t + 1), t
-    for a, b in zip(carried, always):
+    ahead = [np.random.default_rng(80 + i) for i in range(12)]
+    oracle = [np.random.default_rng(80 + i) for i in range(12)]
+    entries, steps, skips = np.full(12, ~0), 5000, 0
+    for t in range(steps):
+        lucky, entries, next_coin = dyn.restart_coins(t, moving, entries, params, ahead)
+        assert np.array_equal(lucky, one_coin_per_step(t, moving, None, params, oracle)[0]), t
+        assert next_coin == coin_step(t + 1, moving, entries), t
+        skips += next_coin > t + 1
+    for i in np.flatnonzero(~moving).tolist():
+        # coins are drawn through the lucky step, or up to step ~entry
+        drawn_to = entries[i] + 1 if entries[i] >= 0 else ~entries[i]
+        oracle[i].random(drawn_to - steps)
+    for a, b in zip(ahead, oracle):
         assert a.bit_generator.state == b.bit_generator.state
-    # at p = 0.5 some stopped agent is lucky at nearly every step
+    # steps without coin work exist below p = 1; at p = 0.5 some stopped agent
+    # is lucky at nearly every step
     if p != 0.5:
-        assert (skipped > 0) == (p < 1.0)
+        assert (skips > 0) == (p < 1.0)
 
 
 # ------------------------------------------------------------- reorientation

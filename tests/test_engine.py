@@ -262,20 +262,12 @@ def _desk_and_crowd_worlds():
             yield world
 
 
-def coin_step(world):
-    """The first step from the world's on at which a stopped agent's lucky step
-    or block falls due (``dynamics.restart_coins``)."""
-    entries = world.next_lucky[~world.moving].tolist()
-    return min((max(e, ~e, world.time_step) for e in entries), default=dynamics.NEVER)
-
-
 def test_world_carries_velocity_and_centre_displacement():
     # the motion record (with the squared cull radii) and the body frames are
     # carried between steps and rebuilt only at stops and restarts, the range
     # levels and open encounters only when a level changes: every
-    # world's equal fresh ones; the coin step is the next step after a walk
-    # flag changes, else the first step with coin work
-    stops = restarts_only = skips = 0
+    # world's equal fresh ones
+    stops = restarts_only = 0
     previous = None
     for world in _desk_and_crowd_worlds():
         params = world.params
@@ -296,16 +288,10 @@ def test_world_carries_velocity_and_centre_displacement():
             stopped = (previous.moving & ~world.moving).any()
             stops += stopped
             restarts_only += not stopped and (~previous.moving & world.moving).any()
-            if np.array_equal(world.moving, previous.moving):
-                assert world.next_coin == coin_step(world)
-                skips += world.next_coin > world.time_step
-            else:
-                assert world.next_coin == world.time_step <= coin_step(world)
         else:
             assert (world.levels == 2).all() and (world.t_enter == -1).all()
-            assert world.next_coin == 0
         previous = world
-    assert stops > 0 and restarts_only > 0 and skips > 0
+    assert stops > 0 and restarts_only > 0
 
 
 def test_carried_arrays_are_read_only():
@@ -453,7 +439,7 @@ def check_stretches_match_one_step_calls(cell, seed, steps, monkeypatch):
     assert result.collisions == collisions and result.encounters == encounters
     assert result.stop_labels == analysis.label_stops(stops, params)
     last = calls[-1]
-    assert (last.time_step, last.next_coin) == (worlds[-1].time_step, worlds[-1].next_coin)
+    assert last.time_step == worlds[-1].time_step
     for got, want in zip(world_arrays(last), world_arrays(worlds[-1]), strict=True):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     trajectory = result.trajectory
