@@ -178,6 +178,8 @@ def restart_coins(t: int, moving: np.ndarray, next_lucky: np.ndarray,
     stopped; while the walk flags hold, no step before it has coin work.
     """
     stopped = ~moving
+    if not np.count_nonzero(stopped):
+        return stopped, next_lucky, NEVER
     due = stopped & (next_lucky < t) & (~next_lucky <= t)
     if np.count_nonzero(due):
         next_lucky = next_lucky.copy()

@@ -11,8 +11,10 @@ the points inside that eye's visual field, and reads two signals off them:
   hemifields, a point's hemifield being the side of the observer's spine
   it lies on, so only bilaterally expanding stimuli register.
 
-The whole world is processed at once as arrays indexed by agent row, with
-(x, y) stacked on the last axis.  The rotated body points and observer axes
+The whole world is processed in one pass over its kept (observer, source)
+pairs, with the coordinate axis first and the pair axis last: the x and y
+displacements are separate (viewpoint, point, pair) planes, so every numpy
+loop runs over pairs.  The rotated body points and observer axes
 depend on headings alone: ``body_frames`` builds them, and the engine reruns
 it only when an agent stops.  Each observer's strongest rate from each source
 is kept, so the agents that caused a signal can be read off for those that stop.
@@ -113,10 +115,11 @@ def frame_radius(d_eye: float) -> float:
 @functools.lru_cache(maxsize=None)
 def _body(d_eye: float, cva: float, ipsi_field: float):
     """Read-only: (17, 2) body-frame points (outline, eyes, body centre), r (largest body-point
-    plus largest eye radius, mm), and the eyes' lower and upper field bounds."""
+    plus largest eye radius, mm), and the eyes' lower and upper field bounds, (2, 1, 1)
+    against (eye, point, pair) azimuths."""
     frame = np.concatenate((BODY_OUTLINE, eye_offsets(d_eye), [(0.0, 0.0)]))
     radius = np.hypot(frame[:, 0], frame[:, 1])
-    bounds = np.array([[[-cva], [-ipsi_field]], [[ipsi_field], [cva]]])
+    bounds = np.array([[-cva, -ipsi_field], [ipsi_field, cva]])[..., None, None]
     frame.flags.writeable = bounds.flags.writeable = False
     return frame, float(radius[:-3].max() + radius[-3:-1].max()), bounds[0], bounds[1]
 
@@ -169,36 +172,42 @@ def world_summaries(pos: np.ndarray, frames: Frames, rel_vel: np.ndarray,
     """
     n = len(pos)
     snapshots = pos.shape[1:-1]
-    kk, ii, jj = np.nonzero(pairs.reshape(-1, n, n))
-    if not len(ii):
+    flat = np.flatnonzero(pairs)
+    if not len(flat):
         return _no_percepts(n, snapshots)
     lo, hi = _body(params.d_eye, params.cva, params.ipsi_field)[2:]
-    world = pos.reshape(n, -1, 1, 2) + frames.offsets[:, None]  # (n, K, 17, 2)
+    # (axis, point, snapshot-major agent): point p of agent i in snapshot k at k * n + i
+    world = np.add(pos.reshape(n, -1, 2).T[:, None], frames.offsets.T[:, :, None],
+                   out=np.empty((2, 17, pos.size // (2 * n), n))).reshape(2, 17, -1)
+    observer = flat // n  # k * n + i
+    ii = observer % n
+    source = observer - ii + flat % n  # k * n + j
 
-    # (pair, viewpoint, point, axis): observer left eye, right eye, centre to source
-    d = _min_image(world[jj, kk, None, :-3] - world[ii, kk, -3:, None], params.arena)
-    dx, dy = d[..., 0], d[..., 1]
+    # (viewpoint, point, pair): observer left eye, right eye, centre to source
+    src, view = world[:, :-3].take(source, axis=-1), world[:, -3:].take(observer, axis=-1)
+    dx = _min_image(src[0] - view[0, :, None], params.arena)
+    dy = _min_image(src[1] - view[1, :, None], params.arena)
     # observer frame: forward is the heading, left its CCW normal
-    hx, hy = frames.axes[:, ii, None, None]
+    hx, hy = frames.axes.take(ii, axis=-1)
     left = hx * dy - hy * dx
-    ex, ey = dx[:, :2], dy[:, :2]
+    ex, ey = dx[:2], dy[:2]
     d2 = ex * ex + ey * ey
-    phi = np.arctan2(left[:, :2], hx * ex + hy * ey)
+    phi = np.arctan2(left[:2], hx * ex + hy * ey)
     seen = (phi >= lo) & (phi <= hi) & (d2 > 0.0)
 
-    rv = rel_vel[ii, jj][:, None, None]
-    rate = np.divide(rv[..., 1] * ex - rv[..., 0] * ey, d2,
-                     out=np.zeros_like(d2), where=seen)
+    rvx, rvy = rel_vel.reshape(-1, 2).T.take(flat % (n * n), axis=-1)  # at i * n + j
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate = np.where(seen, (rvy * ex - rvx * ey) / d2, 0.0)
 
     # left eye (index 0) reads clockwise, right eye (index 1) counter-clockwise
-    grm = np.maximum(-rate[:, 0], rate[:, 1]).max(axis=1)
+    grm = np.maximum(-rate[0], rate[1]).max(axis=0)
 
     # hemifield: side of the observer's spine, left > 0; 0 is neither side
-    side = left[:, 2:]
-    ccw = np.where(side > 0.0, rate, 0.0).max(axis=(1, 2))
-    cw = np.where(side < 0.0, -rate, 0.0).max(axis=(1, 2))
+    side = left[2:]
+    ccw = np.where(side > 0.0, rate, 0.0).max(axis=(0, 1))
+    cw = np.where(side < 0.0, -rate, 0.0).max(axis=(0, 1))
     by_source = np.zeros((3, *snapshots, n, n))
-    by_source.reshape(3, -1, n, n)[:, kk, ii, jj] = np.maximum((grm, ccw, cw), 0.0)
+    by_source.reshape(3, -1)[:, flat] = np.maximum((grm, ccw, cw), 0.0)
 
     best = by_source.max(axis=-1)
     # looming is 0 unless both sides see outward motion

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import pathlib
@@ -516,3 +517,68 @@ def test_snapshot_stack_has_the_bits_of_single_snapshots(n_agents, t_grm, t_loom
                     assert np.array_equal(got.view(np.int64), want.view(np.int64))
                 seen += np.count_nonzero(single.by_source)
     assert seen > 0
+
+
+# ------------------------------------------------------------- kernel bits
+
+# sha256 of the bytes of every percept summary of ``kernel_trials``, recorded
+# with the kernel that stacked (x, y) on the last axis, so it pins the bits of
+# the coordinate-first kernel that replaced it
+KERNEL_BITS_SHA256 = "b87a4bda4d5829ce70b95a6de1d5e9c5c1eb7f5a9222114d993a715fdbc32285"
+
+
+def kernel_trials(record, monkeypatch):
+    """Run a 300-step crowd trial (N = 30, T_grm 1, T_loom 4) and a 300-step
+    CVA 0, T_grm 0.1, T_loom 4 trial, seed 0 each; every percept call of the
+    engine is passed to ``record(kernel, args, summary)``."""
+    desk = config.parse_config(pathlib.Path(__file__).resolve().parents[1]
+                               / "configs" / "desk.cfg").params
+    kernel = per.world_summaries
+
+    def recorded(*args):
+        summary = kernel(*args)
+        record(kernel, args, summary)
+        return summary
+
+    monkeypatch.setattr(per, "world_summaries", recorded)
+    for cell in (dict(n_agents=30, t_grm=1.0, t_loom=4.0),
+                 dict(cva=0.0, t_grm=0.1, t_loom=4.0)):
+        engine.run_trial(replace(desk, horizon_steps=300, **cell), 0)
+
+
+def test_kernel_bits_pinned(monkeypatch):
+    # the trial hashes see neither sub-floor rates nor the sign of a zero in
+    # by_source; this hash sees every byte the kernel returns
+    digest = hashlib.sha256()
+    kept_pairs = []
+
+    def record(kernel, args, summary):
+        kept_pairs.append(np.count_nonzero(args[-1]))
+        for array in arrays(summary):
+            digest.update(np.array(array.shape).tobytes())
+            digest.update(np.ascontiguousarray(array).tobytes())
+
+    kernel_trials(record, monkeypatch)
+    assert len(kept_pairs) < 600 and min(kept_pairs) == 0
+    assert max(kept_pairs) > engine.PAIR_BUDGET
+    assert digest.hexdigest() == KERNEL_BITS_SHA256
+
+
+def test_kernel_bits_do_not_depend_on_input_layout(monkeypatch):
+    # the engine passes a swapped-axes view of its snapshot positions and its
+    # read-only frames and rel_vel; C-contiguous, writable copies of every
+    # argument give the same bytes, also past the pair budget
+    first_kept, strided = [], []
+
+    def record(kernel, args, summary):
+        pos, frames, rel_vel, params, pairs = args
+        first_kept.append(np.count_nonzero(pairs.reshape(-1, len(pos), len(pos))[0]))
+        strided.append(not pos.flags.c_contiguous)
+        copies = [np.array(a, order="C") for a in (pos, *frames, rel_vel)]
+        copies[1:3] = [per.Frames(*copies[1:3])]
+        for got, want in zip(arrays(kernel(*copies, params, np.array(pairs))),
+                             arrays(summary), strict=True):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    kernel_trials(record, monkeypatch)
+    assert any(strided) and max(first_kept) > engine.PAIR_BUDGET
