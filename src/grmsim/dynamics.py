@@ -22,7 +22,9 @@ or a block due.
 
 ``motion`` builds the arrays that change only when a walk flag does, among
 them each pair's squared cull radius (``cull_reach2``), the one rule for
-which pairs the perception kernel evaluates.
+which pairs the perception kernel evaluates.  ``advance`` moves every agent
+by one step's displacement, and ``track`` gives the positions of a stretch of
+steps with the bits of one ``advance`` per step.
 """
 
 from __future__ import annotations
@@ -175,7 +177,10 @@ def restart_coins(t: int, moving: np.ndarray, next_lucky: np.ndarray,
 
     The coin step returned is the first step after t at which a stopped
     agent has a lucky coin or a block due, or ``NEVER`` when no agent is
-    stopped; while the walk flags hold, no step before it has coin work.
+    stopped; while the walk flags hold, no step before it has coin work.  A
+    stretch of ``engine.step`` calls this again at that step, as long as no
+    agent has been lucky in it, so the carried entries may lie ahead of the
+    world's step.
     """
     stopped = ~moving
     if not np.count_nonzero(stopped):
@@ -297,3 +302,28 @@ def cull_reach2(rel_speed: np.ndarray, params: SimParams) -> np.ndarray:
 def advance(pos: np.ndarray, disp: np.ndarray, params: SimParams) -> np.ndarray:
     """New wrapped positions after one step's displacement ``Motion.disp``."""
     return wrap_torus(pos + disp, params.arena)
+
+
+def track(pos: np.ndarray, disp: np.ndarray, count: int, params: SimParams) -> np.ndarray:
+    """(count, n, 2) positions: the wrapped ``pos`` and then each ``advance`` of
+    the last by ``disp``, with their bits.
+
+    ``np.add.accumulate`` adds in sequence, and wrapping leaves a coordinate in
+    [0, arena) as it is, so one accumulate gives every row up to the first with
+    a coordinate outside; that row is wrapped and the accumulate restarts
+    from it.
+    """
+    rows = np.empty((count, *pos.shape))
+    rows[0] = pos
+    start = 0
+    while start < count - 1:
+        rest = rows[start:]
+        rest[1:] = disp
+        np.add.accumulate(rest, axis=0, out=rest)
+        outside = ((rest[1:] < 0.0) | (rest[1:] >= params.arena)).any(axis=(1, 2))
+        wrap = int(outside.argmax())
+        if not outside[wrap]:
+            break
+        start += wrap + 1
+        rows[start] = wrap_torus(rows[start], params.arena)
+    return rows

@@ -26,16 +26,19 @@ its causes' state at the moment of the stop, read from the snapshot's
 ``centre`` and motion record.  A step never writes into old arrays, so the
 trajectory log of ``run_trial`` keeps each step's arrays uncopied.
 
-Between events nothing but positions changes: no coin is due, and the walk
-flags, headings, velocities and cull radii hold.  So ``step`` takes a
-stretch of such steps in one pass: it advances the positions of the next
-snapshots one step at a time, measures their pairs in one ``pair_deltas``
-call and evaluates their percepts in one ``world_summaries`` call, and
-accepts every snapshot before the first whose walk flags change.  That step
-is then taken as a single step is.  A call's contacts and encounters come
-from one pass over the range levels after each of its steps, in step order,
-and the spread decays by the stretch's product in sequence, so every output
-has the bits of one step at a time.
+Between walk-flag changes nothing but positions changes: the headings,
+velocities and cull radii hold, and until a stopped agent restarts only its
+own restart coins read its stream.  So ``step`` takes a stretch of such
+steps in one pass: it draws the coins of each coin step in it, up to the
+first with a lucky agent, which ends the stretch; gets the positions of its
+snapshots from one ``dynamics.track``; measures their pairs in one
+``pair_deltas`` call and evaluates their percepts in one ``world_summaries``
+call; and accepts every snapshot before the first whose walk flags change.
+That step is then taken as a single step is.  A call's contacts and
+encounters come from one pass over the range levels after each of its steps,
+in step order, and the spread decays by the stretch's product in sequence,
+so every output, and every stream's state, has the bits of one step at a
+time.
 
 Everything is deterministic in (params, seed): each agent consumes
 randomness only from its own stream.
@@ -118,7 +121,9 @@ class WorldState:
     centre: np.ndarray   # (n, n, 2), geometry.pair_deltas(pos, arena)
     dist2: np.ndarray    # (n, n), centre[..., 0] ** 2 + centre[..., 1] ** 2
     levels: np.ndarray   # (n, n) int, read-only, range_levels(dist2, params)
-    next_lucky: np.ndarray  # (n,) int, read-only, see dynamics.restart_coins
+    # (n,) int, read-only, see dynamics.restart_coins; a stretch draws the coins
+    # of its coin steps, so an entry may lie ahead of time_step
+    next_lucky: np.ndarray
 
 
 def make_world(pos, heading, speed, params: SimParams, moving=True) -> WorldState:
@@ -167,11 +172,12 @@ def _pairs(mask: np.ndarray) -> list[tuple[int, int]]:
 
 
 # Snapshots one ``step`` call evaluates at most.  Measured on the desk cell
-# (interleaved trials, process time per step relative to one step per call):
-# 0.50 at 8 snapshots, 0.43 at 16 and 0.40 at 32.  Past 16 the gain is
-# within the run-to-run spread (about 0.03), while the positions and pair
-# displacements computed ahead, and discarded after an early stop, double.
-MAX_SNAPSHOTS = 16
+# with stretches running through coin steps (2 vCPUs, numpy 2.4, 16
+# interleaved 2000-step trials, process time per step): 32 snapshots took
+# 0.86 of 16's time, lower in 15 of 16 trials; 64 took 1.04 of 32's, lower
+# in 4 of 16.  On the N = 30 crowd cell, where ``PAIR_BUDGET`` bounds most
+# calls, 32 took 0.96 of 16's and 64 0.98.
+MAX_SNAPSHOTS = 32
 
 # Kept (snapshot, pair) entries one percept call may hold, unless its first
 # snapshot alone has more, so that a call's temporaries stay within one
@@ -187,44 +193,54 @@ def step(world: WorldState, rngs: list[RngStream],
     new world and the events of the steps taken, in step order.
 
     The call evaluates K snapshots from the world's on.  K is at most
-    ``steps``, ``MAX_SNAPSHOTS`` and the number of steps before the next one
-    with coin work, and the snapshots after the first keep at most
-    ``PAIR_BUDGET`` pairs together with the first's.  Their positions come
-    from K - 1 ``dynamics.advance`` calls with the carried motion, their
-    percepts from one ``perception.world_summaries`` call.  Every step before
-    the first snapshot whose walk flags change is accepted; that snapshot's
-    step, or the K-th's, is then taken as a single step is.  So ``steps=1``
-    is one step, and a call ends at every walk-flag change.
+    ``steps`` and ``MAX_SNAPSHOTS``, the snapshots after the first keep at
+    most ``PAIR_BUDGET`` pairs together with the first's, and the first
+    snapshot whose step has a lucky agent is the last, that agent an
+    observer there only; ``dynamics.restart_coins`` draws the coins of each
+    coin step up to it.  Their positions come from one ``dynamics.track``
+    with the carried motion, their percepts from one
+    ``perception.world_summaries`` call.  Every step before the first
+    snapshot whose walk flags change is accepted; that snapshot's step, or
+    the K-th's, is then taken as a single step is.  So ``steps=1`` is one
+    step, and a call ends at every walk-flag change.
     """
     params = world.params
     t = world.time_step
     # an unlucky stopped agent stays stopped whatever it sees, and a rate below
-    # both thresholds changes no decision, so neither is evaluated; while the
-    # walk flags hold, no step before the coin step has a lucky agent
-    lucky, next_lucky, next_coin = dynamics.restart_coins(
+    # both thresholds changes no decision, so neither is evaluated
+    lucky, next_lucky, coin = dynamics.restart_coins(
         t, world.moving, world.next_lucky, params, rngs)
-    observers = (world.moving | lucky)[:, None]
-    kept = (world.dist2 <= world.motion.reach2) & observers
+    kept = (world.dist2 <= world.motion.reach2) & (world.moving | lucky)[:, None]
     first = np.count_nonzero(kept)
-    snaps = min(steps, next_coin - t, MAX_SNAPSHOTS, max(1, PAIR_BUDGET // max(first, 1)))
+    snaps = min(steps, MAX_SNAPSHOTS, max(1, PAIR_BUDGET // max(first, 1)))
+    # until a stopped agent restarts only its own coins read its stream, so the
+    # stretch draws them at each coin step it reaches: a step where a block is
+    # merely due passes, and the first with a lucky agent is its last snapshot
+    lucky_step = t
+    while coin < t + snaps and not np.count_nonzero(lucky):
+        lucky_step = coin
+        lucky, next_lucky, coin = dynamics.restart_coins(
+            coin, world.moving, next_lucky, params, rngs)
+    if np.count_nonzero(lucky):
+        snaps = lucky_step - t + 1
     n = len(world.pos)
-    track = np.empty((snaps, n, 2))  # the snapshots' positions
-    track[0] = world.pos
-    for k in range(1, snaps):
-        track[k] = dynamics.advance(track[k - 1], world.motion.disp, params)
+    # each snapshot's lucky agents; only the last may have any
+    lucky_at = np.zeros((snaps, n), dtype=bool)
+    lucky_at[-1] = lucky
+    track = dynamics.track(world.pos, world.motion.disp, snaps, params)
     centres = dist2s = None
     kept = kept[None]
     if snaps > 1:
         centres = pair_deltas(track[1:], params.arena)
         dist2s = centres[..., 0] ** 2 + centres[..., 1] ** 2
-        ahead = (dist2s <= world.motion.reach2) & observers
+        ahead = (dist2s <= world.motion.reach2) & (world.moving | lucky_at[1:])[..., None]
         running = first + np.count_nonzero(ahead, axis=(1, 2)).cumsum()
         snaps = 1 + int(running.searchsorted(PAIR_BUDGET, side="right"))
         kept = np.concatenate((kept, ahead[:snaps - 1]))
     summary = perception.world_summaries(track[:snaps].swapaxes(0, 1), world.frames,
                                          world.motion.rel_vel, params, kept)
     flags = dynamics.control_step(
-        world.moving, summary.max_grm, summary.omega_loom, params, lucky)
+        world.moving, summary.max_grm, summary.omega_loom, params, lucky_at[:snaps])
     # the steps before the last snapshot keep every flag
     changes = (flags != world.moving).ravel()
     first_change = int(changes.argmax())

@@ -10,7 +10,8 @@ Conventions used throughout the package:
   ``[-R/2, R/2)`` (ties resolve to ``-R/2``).  ``_min_image`` is exact for
   raw displacements in ``[-1.5 R, 1.5 R)`` only, and its callers stay well
   inside: ``min_image_delta`` wraps its inputs,
-  ``engine.make_world`` and ``dynamics.advance`` keep positions wrapped, and
+  ``engine.make_world``, ``dynamics.advance`` and ``dynamics.track`` keep
+  positions wrapped, and
   ``SimParams.validate`` requires an arena larger than four body-frame radii,
   so differences of body points (wrapped positions plus or minus that
   radius) stay in range.

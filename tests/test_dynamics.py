@@ -334,6 +334,36 @@ def test_advance_wraps_at_boundary():
     assert new_pos[0] == pytest.approx(0.05, abs=1e-9)
 
 
+def sequential_track(pos, disp, count, params):
+    rows = [pos]
+    for _ in range(count - 1):
+        rows.append(dyn.advance(rows[-1], disp, params))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("count", [1, 2, 48])
+@pytest.mark.parametrize("seed", range(6))
+def test_track_has_the_bits_of_sequential_advances(seed, count):
+    # coordinates at 0, 1e-300, just below the side and anywhere; displacements
+    # of +-0, +-1e-17, up to a step's length and up to a third of the side,
+    # the last wrapping a coordinate several times in one track
+    params = SimParams()
+    side = params.arena
+    rng = np.random.default_rng(seed)
+    shape = (60, 2)
+    edges = rng.choice([0.0, 1e-300, np.nextafter(side, 0.0)], shape)
+    pos = np.where(rng.random(shape) < 0.5, edges, rng.uniform(0.0, side, shape))
+    kinds = rng.integers(3, size=shape)
+    tiny = rng.choice([0.0, -0.0, 1e-17, -1e-17], shape)
+    disp = np.choose(kinds, [tiny, rng.uniform(-0.15, 0.15, shape),
+                             rng.uniform(-side / 3, side / 3, shape)])
+    want = sequential_track(pos, disp, count, params)
+    assert dyn.track(pos, disp, count, params).tobytes() == want.tobytes()
+    if count > 2:
+        wraps = (want[1:] != want[:-1] + disp).sum(axis=0)
+        assert wraps.max() > 2 and np.count_nonzero(wraps[(kinds == 0) & (disp != 0.0)])
+
+
 def test_velocity_zero_when_stopped():
     params = SimParams()
     vel = dyn.motion(perception.body_frames(np.array([0.0, math.pi / 2]), params),

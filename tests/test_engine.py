@@ -384,7 +384,8 @@ STRETCH_CELLS = {
 
 
 def one_step_trial(params, seed):
-    """Every world of a trial advanced by one-step calls, and its records."""
+    """Every world of a trial advanced by one-step calls, its records and its
+    agents' streams."""
     init_rng, streams = dynamics.trial_streams(seed, params.n_agents)
     worlds = [engine.make_world(*dynamics.init_agents(params, init_rng), params)]
     stops, collisions, encounters = [], [], []
@@ -395,7 +396,7 @@ def one_step_trial(params, seed):
         stops += events.stops
         collisions += events.collisions
         encounters += events.encounters
-    return worlds, stops, collisions, encounters
+    return worlds, stops, collisions, encounters, streams
 
 
 def stop_rows(stops):
@@ -411,20 +412,36 @@ def world_arrays(world):
 
 def check_stretches_match_one_step_calls(cell, seed, steps, monkeypatch):
     """``run_trial``, which takes event-free stretches in one call, gives the
-    records, labels, last world and logged trajectory of one-step calls; its
-    percept calls hold at most ``MAX_SNAPSHOTS`` snapshots and, past their
-    first snapshot's, ``PAIR_BUDGET`` kept pairs."""
+    records, labels, last world, logged trajectory and final stream states of
+    one-step calls; its percept calls hold at most ``MAX_SNAPSHOTS`` snapshots
+    and, past their first snapshot's, ``PAIR_BUDGET`` kept pairs.
+
+    Returns the trial's result, the number of calls that passed a later step
+    where a block of coins was merely due, and the number that ended at a
+    later step with a lucky agent."""
     desk = config.parse_config(DESK).params
     params = replace(desk, horizon_steps=steps, **STRETCH_CELLS[cell])
-    worlds, stops, collisions, encounters = one_step_trial(params, seed)
+    worlds, stops, collisions, encounters, one_step_streams = one_step_trial(params, seed)
 
-    stepper, summaries = engine.step, perception.world_summaries
-    calls, kernel = [], []
+    stepper, summaries, coins = engine.step, perception.world_summaries, dynamics.restart_coins
+    calls, kernel, coin_steps, streams = [], [], [], []
+    passed = lucky_ends = 0
 
     def record_step(world, rngs, steps=1):
+        nonlocal passed, lucky_ends
+        coin_steps.clear()
         new_world, events = stepper(world, rngs, steps)
         calls.append(new_world)
+        streams[:] = rngs
+        t, last = world.time_step, new_world.time_step - 1
+        passed += any(t < s < last and not lucky for s, lucky in coin_steps)
+        lucky_ends += any(t < s == last and lucky for s, lucky in coin_steps)
         return new_world, events
+
+    def record_coins(t, moving, next_lucky, params, rngs):
+        lucky, next_lucky, coin = coins(t, moving, next_lucky, params, rngs)
+        coin_steps.append((t, bool(np.count_nonzero(lucky))))
+        return lucky, next_lucky, coin
 
     def record_kernel(pos, frames, rel_vel, params, pairs):
         kernel.append((pos.shape[1], np.count_nonzero(pairs)))
@@ -432,6 +449,7 @@ def check_stretches_match_one_step_calls(cell, seed, steps, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(engine, "step", record_step)
+        patch.setattr(dynamics, "restart_coins", record_coins)
         patch.setattr(perception, "world_summaries", record_kernel)
         result = engine.run_trial(params, seed, log_trajectories=True)
 
@@ -447,20 +465,35 @@ def check_stretches_match_one_step_calls(cell, seed, steps, monkeypatch):
                       (trajectory.heading, [w.heading for w in worlds]),
                       (trajectory.moving, np.array([w.moving for w in worlds], dtype=int))):
         assert got.tobytes() == np.array(want).tobytes()
+    # no coin is drawn that one-step calls would not draw
+    assert ([r.bit_generator.state for r in streams]
+            == [r.bit_generator.state for r in one_step_streams])
 
     snapshots = np.array([k for k, _ in kernel])
     assert len(calls) < steps and snapshots.max() > 1
     assert snapshots.max() <= engine.MAX_SNAPSHOTS
     assert all(k == 1 or kept <= engine.PAIR_BUDGET for k, kept in kernel)
-    return result
+    return result, passed, lucky_ends
 
 
 @pytest.mark.parametrize("cell, seed", [("desk", 3), ("T = 32", 2), ("low floor", 1)])
 def test_stretches_match_one_step_calls(cell, seed, monkeypatch):
-    # seeds whose 300 steps hold restarts, so stretches end at coin steps too
-    moving = check_stretches_match_one_step_calls(cell, seed, 300, monkeypatch).trajectory.moving
+    # seeds whose 300 steps hold restarts, so some stretches end at a later
+    # step with a lucky agent
+    result, _, lucky_ends = check_stretches_match_one_step_calls(cell, seed, 300, monkeypatch)
+    moving = result.trajectory.moving
     assert ((moving[:-1] == 1) & (moving[1:] == 0)).any()
     assert ((moving[:-1] == 0) & (moving[1:] == 1)).any()
+    assert lucky_ends > 0
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_stretches_pass_steps_where_a_block_is_merely_due(seed, monkeypatch):
+    # at p_restart 0 a stopped agent never restarts and draws a block of 4096
+    # coins at its first stopped step and every 4096 steps after; the
+    # stretches run through the steps where the second blocks fall due
+    _, passed, _ = check_stretches_match_one_step_calls("p_restart 0", seed, 4200, monkeypatch)
+    assert passed > 0
 
 
 @pytest.mark.slow

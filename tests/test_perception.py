@@ -521,10 +521,10 @@ def test_snapshot_stack_has_the_bits_of_single_snapshots(n_agents, t_grm, t_loom
 
 # ------------------------------------------------------------- kernel bits
 
-# sha256 of the bytes of every percept summary of ``kernel_trials``, recorded
-# with the kernel that stacked (x, y) on the last axis, so it pins the bits of
-# the coordinate-first kernel that replaced it
-KERNEL_BITS_SHA256 = "b87a4bda4d5829ce70b95a6de1d5e9c5c1eb7f5a9222114d993a715fdbc32285"
+# sha256 of the bytes of each taken step's percept summary in ``kernel_trials``,
+# that is of every snapshot an ``engine.step`` call accepts, so it does not
+# depend on how the calls group the steps
+KERNEL_BITS_SHA256 = "91de47492f9002f60f771876e8e3853e9641d2beac916e00d76e381b80c62a42"
 
 
 def kernel_trials(record, monkeypatch):
@@ -548,16 +548,24 @@ def kernel_trials(record, monkeypatch):
 
 def test_kernel_bits_pinned(monkeypatch):
     # the trial hashes see neither sub-floor rates nor the sign of a zero in
-    # by_source; this hash sees every byte the kernel returns
+    # by_source; this hash sees every byte the kernel returns for a step taken
     digest = hashlib.sha256()
-    kept_pairs = []
+    kept_pairs, summaries = [], []
+    stepper = engine.step
 
     def record(kernel, args, summary):
         kept_pairs.append(np.count_nonzero(args[-1]))
-        for array in arrays(summary):
-            digest.update(np.array(array.shape).tobytes())
-            digest.update(np.ascontiguousarray(array).tobytes())
+        summaries.append(summary)
 
+    def step(world, rngs, steps=1):
+        new_world, events = stepper(world, rngs, steps)
+        for k in range(len(events.positions)):
+            for array in arrays(summaries[-1].snapshot(k)):
+                digest.update(np.array(array.shape).tobytes())
+                digest.update(np.ascontiguousarray(array).tobytes())
+        return new_world, events
+
+    monkeypatch.setattr(engine, "step", step)
     kernel_trials(record, monkeypatch)
     assert len(kept_pairs) < 600 and min(kept_pairs) == 0
     assert max(kept_pairs) > engine.PAIR_BUDGET
