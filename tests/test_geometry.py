@@ -1,3 +1,10 @@
+"""Unit examples for grmsim.geometry.
+
+The randomized theorem checks (the rate oracle, crossing signs, regressive
+implies GRM, the wall cone) are harness.verify's suites, which acceptance
+criteria 01-04 and `grmsim verify` run.
+"""
+
 import math
 from fractions import Fraction
 
@@ -5,15 +12,7 @@ import numpy as np
 import pytest
 
 from grmsim import geometry as geo
-
-
-def fd_angular_velocity(rel_pos, rel_vel, dt=1e-6):
-    """Independent oracle: central finite difference of the azimuth."""
-    p = np.asarray(rel_pos, dtype=float)
-    v = np.asarray(rel_vel, dtype=float)
-    a_plus = math.atan2(*(p + dt * v)[::-1])
-    a_minus = math.atan2(*(p - dt * v)[::-1])
-    return geo.wrap_angle(a_plus - a_minus) / (2.0 * dt)
+from grmsim.harness.verify import fd_rate
 
 
 # ---------------------------------------------------------------- torus ops
@@ -122,28 +121,15 @@ def test_azimuth_zero_vector_rejected():
 def test_angular_velocity_examples():
     assert geo.angular_velocity((5, 0), (2, 0)) == pytest.approx(0.0)
     # frozen from the central finite-difference oracle
-    assert fd_angular_velocity((0, 10), (20, 0)) == pytest.approx(-2.0, rel=1e-6)
+    assert fd_rate((0, 10), (20, 0)) == pytest.approx(-2.0, rel=1e-6)
     assert geo.angular_velocity((0, 10), (20, 0)) == pytest.approx(-2.0)
-    assert fd_angular_velocity((5, 0), (0, 1)) == pytest.approx(0.2, rel=1e-6)
+    assert fd_rate((5, 0), (0, 1)) == pytest.approx(0.2, rel=1e-6)
     assert geo.angular_velocity((5, 0), (0, 1)) == pytest.approx(0.2)
 
 
 def test_angular_velocity_zero_rejected():
     with pytest.raises(ValueError):
         geo.angular_velocity((0.0, 0.0), (1.0, 1.0))
-
-
-def test_angular_velocity_matches_finite_difference():
-    # analytic rate vs central difference over 1000 random configurations
-    rng = np.random.default_rng(17)
-    for _ in range(1000):
-        direction = rng.uniform(0, 2 * math.pi)
-        radius = rng.uniform(0.1, 100.0)
-        rel_pos = radius * np.array([math.cos(direction), math.sin(direction)])
-        rel_vel = rng.normal(size=2) * 30.0
-        analytic = geo.angular_velocity(rel_pos, rel_vel)
-        numeric = fd_angular_velocity(rel_pos, rel_vel)
-        assert analytic == pytest.approx(numeric, rel=1e-5, abs=1e-9)
 
 
 def test_tangential_momentum_constant_along_line():
@@ -268,7 +254,7 @@ def test_wall_angular_velocity_example():
     # 10*10*(sqrt(2)/2)/100, confirmed by the finite-difference oracle
     assert geo.wall_angular_velocity(s) == pytest.approx(math.sqrt(2) / 2)
     vel = np.array([10.0 * math.sin(s.approach_angle), 10.0 * math.cos(s.approach_angle)])
-    assert fd_angular_velocity((0.0, 10.0), -vel) == pytest.approx(
+    assert fd_rate((0.0, 10.0), -vel) == pytest.approx(
         geo.wall_angular_velocity(s), rel=1e-6)
 
 
@@ -322,89 +308,3 @@ def test_is_grm_examples():
         if phi_dot == 0:
             continue
         assert geo.is_grm(phi, phi_dot, math.pi)
-
-
-def test_regressive_implies_grm():
-    # random triples with nonzero rate: regressive motion is always GRM
-    rng = np.random.default_rng(43)
-    phi = rng.uniform(-math.pi, math.pi, size=20000)
-    phi_dot = rng.normal(size=20000) * 5
-    cva = rng.uniform(0, math.pi / 2, size=20000)
-    for p, pd, c in zip(phi, phi_dot, cva):
-        if geo.is_regressive(p, pd) and pd != 0.0:
-            assert geo.is_grm(p, pd, c)
-
-
-# --------------------------------------------------------- theorem properties
-
-def _random_crossing(rng, gap_sign=-1):
-    psi = rng.uniform(0.1, math.pi - 0.1) * rng.choice([-1.0, 1.0])
-    return dict(
-        speed_obs=rng.uniform(5, 30),
-        speed_other=rng.uniform(5, 30),
-        approach_angle=psi,
-        arrival_gap=gap_sign * rng.uniform(0.5, 15),
-    )
-
-
-def test_theorem_crossing_sign_structure():
-    # the observer arriving second sees regressive motion exactly while the
-    # other agent has not yet reached the crossing
-    rng = np.random.default_rng(47)
-    for _ in range(500):
-        base = _random_crossing(rng)
-        eps = rng.uniform(0.05, 12)
-        before = geo.CrossingScenario(**base, progress=-eps)
-        after = geo.CrossingScenario(**base, progress=+eps)
-        assert geo.is_regressive(
-            geo.crossing_azimuth(before), geo.crossing_angular_velocity(before))
-        assert not geo.is_regressive(
-            geo.crossing_azimuth(after), geo.crossing_angular_velocity(after))
-
-
-def test_theorem_crossing_first_arriver_frame():
-    # mirrored frame: the agent arriving first sees progressive motion until
-    # the other crosses, regressive afterwards
-    rng = np.random.default_rng(53)
-    for _ in range(500):
-        base = _random_crossing(rng)
-        gap = base["arrival_gap"]
-        eps2 = rng.uniform(0.05, 12) * rng.choice([-1.0, 1.0])
-        # reparametrize around the moment the late agent reaches the crossing
-        eps = -gap + eps2 * base["speed_obs"] / base["speed_other"]
-        mirrored = geo.CrossingScenario(
-            speed_obs=base["speed_other"],
-            speed_other=base["speed_obs"],
-            approach_angle=-base["approach_angle"],
-            arrival_gap=-gap * base["speed_other"] / base["speed_obs"],
-            progress=eps2,
-        )
-        regressive = geo.is_regressive(
-            geo.crossing_azimuth(mirrored), geo.crossing_angular_velocity(mirrored))
-        assert regressive == (eps2 > 0)
-        # consistency of the reparametrization with the original scenario clock
-        assert (eps > -gap) == (eps2 > 0)
-
-
-def test_theorem_wall_cone_point_exceeds_any_threshold():
-    # for any threshold there is a wall point inside the frontal GRM cone
-    # whose angular velocity exceeds it once the wall is close enough
-    rng = np.random.default_rng(59)
-    for _ in range(50):
-        alpha = rng.uniform(math.radians(6), math.radians(84))
-        v = rng.uniform(10, 30)
-        cva = rng.uniform(math.radians(10), math.radians(90))
-        cone_phi = 0.5 * min(cva, alpha - math.radians(1))
-        for threshold in (0.1, 2.0, 32.0):
-            y = 20.0
-            found = False
-            for _ in range(200):
-                x = y * math.tan(alpha - cone_phi)
-                rate = geo.wall_angular_velocity(geo.WallScenario(alpha, v, (x, y)))
-                if abs(rate) > threshold:
-                    found = True
-                    break
-                y *= 0.5
-            assert found and y > 0.0
-            assert rate > 0.0  # counter-clockwise: toward the nose
-            assert geo.is_grm(cone_phi, rate, cva)

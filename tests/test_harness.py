@@ -93,6 +93,7 @@ def test_invalid_params_rejected():
 GRID_KEYS = "cva_values_deg = 30\nt_grm_values = 4\nt_loom_values = 32\n"
 BAD_CONFIGS = {
     "nan threshold": "T_grm = nan\n",
+    "infinite threshold": "T_grm = inf\n",
     "nan step": "dt = nan\n",
     "infinite arena": "R = inf\n",
     "arena within four body radii": "R = 4\n",
@@ -473,14 +474,22 @@ def test_verify_minimal_sample_count():
         verify_theorems(sample_count=0)
 
 
-def test_verify_catches_flipped_rotation_convention(monkeypatch):
+@pytest.mark.parametrize("name, suite", [
+    ("angular_velocity", "crossing-signs"),
+    ("crossing_angular_velocity", "crossing-signs"),
+    ("wall_angular_velocity", "wall-cone"),
+    ("is_grm", "grm-implication"),
+])
+def test_verify_catches_flipped_rotation_convention(monkeypatch, name, suite):
     import grmsim.geometry as geo
-    correct = geo.angular_velocity
-    monkeypatch.setattr(geo, "angular_velocity", lambda p, v: -correct(p, v))
+    correct = getattr(geo, name)
+    if name == "is_grm":
+        flipped = lambda phi, phi_dot, cva: correct(phi, -phi_dot, cva)
+    else:
+        flipped = lambda *args: -correct(*args)
+    monkeypatch.setattr(geo, name, flipped)
     report = verify_theorems(sample_count=50, seed=4)
-    assert not report.passed
-    names = {s.name for s in report.suites if not s.passed}
-    assert "crossing-signs" in names
+    assert suite in {s.name for s in report.suites if not s.passed}
 
 
 # --------------------------------------------------------------------- CLI
