@@ -12,13 +12,13 @@ stream for initialization plus one per agent, so each agent's behavior is
 invariant to the order agents are processed in.
 
 A stopped agent flips one restart coin per step, drawn ahead, and
-``restart_coins`` alone decides when: at step t a stopped agent whose carried
-``next_lucky`` entry does not reach t draws a block of its coins from step t on
-in one call, rewinds its stream to just after the first lucky one and carries
-that coin's step.  Each stream is where one coin per stopped step would leave
-it at the agent's next reorientation, so trials are unchanged.  It also
-returns the first step after t at which any stopped agent has a lucky coin
-or a block due.
+``restart_coins`` alone decides when: for a stretch of steps [t, until) each
+stopped agent whose carried ``next_lucky`` entry does not reach t draws blocks
+of its coins in one call each, from its first undrawn step on, until one holds
+a lucky coin, its stream rewound to just after it, or a block ends at or past
+``until``.  Each stream is where one coin per stopped step would leave it at
+the agent's next reorientation and at the end of the trial, so trials are
+unchanged.  It returns the first step of the stretch with a lucky agent.
 
 ``motion`` builds the arrays that change only when a walk flag does, among
 them each pair's squared cull radius (``cull_reach2``), the one rule for
@@ -150,10 +150,6 @@ def init_agents(params: SimParams, rng: RngStream
     return pos, heading, speed
 
 
-# ``restart_coins``' next coin step when no agent is stopped
-NEVER = np.iinfo(np.int64).max
-
-
 def _coin_block(p: float) -> int:
     """Coins drawn at once: one at p = 1, else enough that a block holds no lucky
     coin at most one time in 64, capped at 4096 (for p = 0 and tiny p)."""
@@ -162,46 +158,52 @@ def _coin_block(p: float) -> int:
     return 4096 if p <= 0.0 else math.ceil(min(4096.0, math.log(64.0) / -math.log1p(-p)))
 
 
-def restart_coins(t: int, moving: np.ndarray, next_lucky: np.ndarray,
+def restart_coins(t: int, until: int, moving: np.ndarray, next_lucky: np.ndarray,
                   params: SimParams, rngs: list[RngStream]
-                  ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Step t's lucky stopped agents, the read-only ``next_lucky`` to carry and
-    the first step after t with coin work.
+                  ) -> tuple[int, np.ndarray, np.ndarray]:
+    """The first step in [t, until) with a lucky stopped agent, or ``until``,
+    the agents lucky at that step and the read-only ``next_lucky`` to carry.
 
     An entry is the step of the agent's next lucky coin (below ``p_restart``),
-    its stream rewound to just after it, or ``~s`` when its block held none, s
+    its stream rewound to just after it, or ``~s`` when its blocks held none, s
     being the first step whose coin is not drawn yet.  A stopped agent whose
-    entry does not reach t (a spent lucky step, a spent block ``~t`` or a new
-    world's ``~0``) first draws a block of coins from step t on; a block of k
-    coins is one ``Generator.random(k)``, which equals k single draws.
-
-    The coin step returned is the first step after t at which a stopped
-    agent has a lucky coin or a block due, or ``NEVER`` when no agent is
-    stopped; while the walk flags hold, no step before it has coin work.  A
-    stretch of ``engine.step`` calls this again at that step, as long as no
-    agent has been lucky in it, so the carried entries may lie ahead of the
-    world's step.
+    entry does not reach t, a spent lucky step or ``~s`` with s < until (a new
+    world's ``~0`` among them), draws blocks of coins from step max(t, s) on;
+    a block of k coins is one ``Generator.random(k)``, which equals k single
+    draws.  ``until`` must not pass the trial's horizon: until an agent is
+    lucky only its own coins read its stream, so the coins drawn are then the
+    ones it flips, one per stopped step, before it can restart.
     """
     stopped = ~moving
     if not np.count_nonzero(stopped):
-        return stopped, next_lucky, NEVER
-    due = stopped & (next_lucky < t) & (~next_lucky <= t)
+        return until, stopped, next_lucky
+    due = stopped & (next_lucky < t) & (~next_lucky < until)
     if np.count_nonzero(due):
         next_lucky = next_lucky.copy()
         k = _coin_block(params.p_restart)
         for i in np.flatnonzero(due).tolist():
-            hit = rngs[i].random(k) < params.p_restart
-            first = int(hit.argmax())
-            if hit[first]:
-                if first + 1 < k:
-                    rngs[i].bit_generator.advance(first + 1 - k)
-                next_lucky[i] = t + first
-            else:
-                next_lucky[i] = ~(t + k)
+            next_lucky[i] = _draw_coins(rngs[i], max(t, ~int(next_lucky[i])), until, k,
+                                        params.p_restart)
         next_lucky.flags.writeable = False
-    # every stopped entry now reaches t: a lucky step, or ~s with s > t
-    due_at = np.maximum(next_lucky, ~next_lucky).min(where=stopped, initial=NEVER)
-    return stopped & (next_lucky == t), next_lucky, max(int(due_at), t + 1)
+    # every stopped entry now reaches t: a lucky step, or ~s with s >= until
+    step = int(np.maximum(next_lucky, ~next_lucky).min(where=stopped, initial=until))
+    if step == until:
+        return until, np.zeros_like(stopped), next_lucky
+    return step, stopped & (next_lucky == step), next_lucky
+
+
+def _draw_coins(rng: RngStream, s: int, until: int, k: int, p: float) -> int:
+    """Entry after blocks of k coins from step s's on: the first lucky coin's
+    step, the stream rewound to just after it, or ``~s`` once s reaches ``until``."""
+    while s < until:
+        hit = rng.random(k) < p
+        first = int(hit.argmax())
+        if hit[first]:
+            if first + 1 < k:
+                rng.bit_generator.advance(first + 1 - k)
+            return s + first
+        s += k
+    return ~s
 
 
 def control_step(moving: np.ndarray, max_grm: np.ndarray, omega_loom: np.ndarray,

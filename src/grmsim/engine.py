@@ -29,16 +29,16 @@ trajectory log of ``run_trial`` keeps each step's arrays uncopied.
 Between walk-flag changes nothing but positions changes: the headings,
 velocities and cull radii hold, and until a stopped agent restarts only its
 own restart coins read its stream.  So ``step`` takes a stretch of such
-steps in one pass: it draws the coins of each coin step in it, up to the
-first with a lucky agent, which ends the stretch; gets the positions of its
-snapshots from one ``dynamics.track``; measures their pairs in one
-``pair_deltas`` call and evaluates their percepts in one ``world_summaries``
-call; and accepts every snapshot before the first whose walk flags change.
-That step is then taken as a single step is.  A call's contacts and
-encounters come from one pass over the range levels after each of its steps,
-in step order, and the spread decays by the stretch's product in sequence,
-so every output, and every stream's state, has the bits of one step at a
-time.
+steps in one pass: one ``dynamics.restart_coins`` call draws the coins the
+stretch needs and ends it at its first step with a lucky agent; it gets the
+positions of its snapshots from one ``dynamics.track``; measures their pairs
+in one ``pair_deltas`` call and evaluates their percepts in one
+``world_summaries`` call; and accepts every snapshot before the first whose
+walk flags change.  That step is then taken as a single step is.  A call's
+contacts and encounters come from one pass over the range levels after each
+of its steps, in step order, and the spread decays by the stretch's product
+in sequence, so every output, and every stream's state, has the bits of one
+step at a time.
 
 Everything is deterministic in (params, seed): each agent consumes
 randomness only from its own stream.
@@ -122,7 +122,7 @@ class WorldState:
     dist2: np.ndarray    # (n, n), centre[..., 0] ** 2 + centre[..., 1] ** 2
     levels: np.ndarray   # (n, n) int, read-only, range_levels(dist2, params)
     # (n,) int, read-only, see dynamics.restart_coins; a stretch draws the coins
-    # of its coin steps, so an entry may lie ahead of time_step
+    # of all its steps, so an entry may lie ahead of time_step
     next_lucky: np.ndarray
 
 
@@ -172,8 +172,8 @@ def _pairs(mask: np.ndarray) -> list[tuple[int, int]]:
 
 
 # Snapshots one ``step`` call evaluates at most.  Measured on the desk cell
-# with stretches running through coin steps (2 vCPUs, numpy 2.4, 16
-# interleaved 2000-step trials, process time per step): 32 snapshots took
+# with stretches ending only at walk-flag changes and lucky steps (2 vCPUs,
+# numpy 2.4, 16 interleaved 2000-step trials, process time per step): 32 took
 # 0.86 of 16's time, lower in 15 of 16 trials; 64 took 1.04 of 32's, lower
 # in 4 of 16.  On the N = 30 crowd cell, where ``PAIR_BUDGET`` bounds most
 # calls, 32 took 0.96 of 16's and 64 0.98.
@@ -196,9 +196,9 @@ def step(world: WorldState, rngs: list[RngStream],
     ``steps`` and ``MAX_SNAPSHOTS``, the snapshots after the first keep at
     most ``PAIR_BUDGET`` pairs together with the first's, and the first
     snapshot whose step has a lucky agent is the last, that agent an
-    observer there only; ``dynamics.restart_coins`` draws the coins of each
-    coin step up to it.  Their positions come from one ``dynamics.track``
-    with the carried motion, their percepts from one
+    observer there only; one ``dynamics.restart_coins`` call over the K steps
+    draws their coins and finds it.  Their positions come from one
+    ``dynamics.track`` with the carried motion, their percepts from one
     ``perception.world_summaries`` call.  Every step before the first
     snapshot whose walk flags change is accepted; that snapshot's step, or
     the K-th's, is then taken as a single step is.  So ``steps=1`` is one
@@ -206,24 +206,19 @@ def step(world: WorldState, rngs: list[RngStream],
     """
     params = world.params
     t = world.time_step
+    n = len(world.pos)
     # an unlucky stopped agent stays stopped whatever it sees, and a rate below
     # both thresholds changes no decision, so neither is evaluated
-    lucky, next_lucky, coin = dynamics.restart_coins(
-        t, world.moving, world.next_lucky, params, rngs)
-    kept = (world.dist2 <= world.motion.reach2) & (world.moving | lucky)[:, None]
+    near = world.dist2 <= world.motion.reach2
+    kept = near & world.moving[:, None]
     first = np.count_nonzero(kept)
     snaps = min(steps, MAX_SNAPSHOTS, max(1, PAIR_BUDGET // max(first, 1)))
-    # until a stopped agent restarts only its own coins read its stream, so the
-    # stretch draws them at each coin step it reaches: a step where a block is
-    # merely due passes, and the first with a lucky agent is its last snapshot
-    lucky_step = t
-    while coin < t + snaps and not np.count_nonzero(lucky):
-        lucky_step = coin
-        lucky, next_lucky, coin = dynamics.restart_coins(
-            coin, world.moving, next_lucky, params, rngs)
-    if np.count_nonzero(lucky):
-        snaps = lucky_step - t + 1
-    n = len(world.pos)
+    # the stretch's first step with a lucky agent is its last snapshot
+    lucky_step, lucky, next_lucky = dynamics.restart_coins(
+        t, t + snaps, world.moving, world.next_lucky, params, rngs)
+    snaps = min(snaps, lucky_step - t + 1)
+    if lucky_step == t:
+        kept = near & (world.moving | lucky)[:, None]
     # each snapshot's lucky agents; only the last may have any
     lucky_at = np.zeros((snaps, n), dtype=bool)
     lucky_at[-1] = lucky

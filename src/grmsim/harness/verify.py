@@ -130,7 +130,8 @@ def check_crossing_signs(samples: int, rng: np.random.Generator) -> SuiteResult:
             geo.crossing_azimuth(mirrored), geo.crossing_angular_velocity(mirrored))
         if regressive != (eps2 > 0):
             bad.append(f"{mirrored}: first-arriver regressive != {eps2 > 0}")
-    return SuiteResult("crossing-signs", samples, tuple(bad))
+    # a sign and a closed-form check at each of -eps and eps, then the mirror's sign
+    return SuiteResult("crossing-signs", 5 * samples, tuple(bad))
 
 
 def check_grm_implication(samples: int, rng: np.random.Generator) -> SuiteResult:

@@ -156,81 +156,115 @@ def test_restart_coins_drawn_ahead_by_stopped_agents_only():
     rngs = [np.random.default_rng(k) for k in range(4)]
     moving = np.array([True, False, False, True])
     start = np.full(4, ~0)
-    lucky, next_lucky, next_coin = dyn.restart_coins(0, moving, start, params, rngs)
+    step, lucky, next_lucky = dyn.restart_coins(0, 1000, moving, start, params, rngs)
     assert not next_lucky.flags.writeable and np.array_equal(start, np.full(4, ~0))
-    assert next_coin == max(min(next_lucky[1:3]), 1)
+    assert step == min(next_lucky[1:3])
     for k, stream in enumerate(rngs):
         fresh = np.random.default_rng(k)
         if not moving[k]:
             first = 0
             while fresh.random() >= params.p_restart:
                 first += 1
-            assert next_lucky[k] == first and lucky[k] == (first == 0)
+            assert next_lucky[k] == first and lucky[k] == (first == step)
         assert stream.bit_generator.state == fresh.bit_generator.state
     assert not lucky[moving].any()
 
 
 def test_restart_coins_draw_exactly_when_an_entry_does_not_reach_the_step():
-    # at t = 7: a stale lucky step, a spent block and a new world's entry draw
-    # a block from step 7 on; a lucky step ahead or now, a block reaching past
-    # 7 and a walking agent's stale entry draw nothing
-    t, params = 7, SimParams(p_restart=0.5)
+    # over [7, 12): a stale lucky step, a spent block and a new world's entry
+    # draw from step 7 on, and a block ending inside the window from its end;
+    # a lucky step ahead or now, a block reaching 12 and a walking agent's
+    # stale entry draw nothing
+    t, until, params = 7, 12, SimParams(p_restart=0.5)
     k = dyn._coin_block(params.p_restart)
-    entries = np.array([3, ~7, ~0, 9, ~12, 7, 3])
-    moving = np.array([False] * 6 + [True])
-    draws = [True, True, True, False, False, False, False]
-    rngs = [np.random.default_rng(40 + i) for i in range(7)]
-    lucky, next_lucky, next_coin = dyn.restart_coins(t, moving, entries.copy(), params, rngs)
+    entries = np.array([3, ~7, ~0, ~10, 9, ~12, 7, 3])
+    moving = np.array([False] * 7 + [True])
+    starts = [7, 7, 7, 10, None, None, None, None]
+    rngs = [np.random.default_rng(40 + i) for i in range(8)]
+    step, lucky, next_lucky = dyn.restart_coins(t, until, moving, entries.copy(), params, rngs)
     for i, stream in enumerate(rngs):
         fresh = np.random.default_rng(40 + i)
         want = entries[i]
-        if draws[i]:
-            want = ~(t + k)
-            for j in range(k):
-                if fresh.random() < params.p_restart:
-                    want = t + j
-                    break
+        if starts[i] is not None:
+            s = starts[i]
+            want = None
+            while want is None:
+                for j in range(k):
+                    if fresh.random() < params.p_restart:
+                        want = s + j
+                        break
+                else:
+                    s += k
+                    want = ~s if s >= until else None
         assert next_lucky[i] == want, i
         assert stream.bit_generator.state == fresh.bit_generator.state, i
         assert lucky[i] == (not moving[i] and want == t), i
-    assert lucky[5] and not lucky[6]
-    # agent 5 is lucky now and may stay stopped, so its entry is due next step
-    assert next_coin == t + 1
+    assert step == t and lucky[6] and not lucky[7]
 
 
-def coin_step(t, moving, next_lucky):
-    """The first step from t on at which a stopped agent's entry (a lucky step,
-    or ``~s`` with s the first undrawn coin's step) falls due."""
-    due = [max(entry, ~entry, t) for entry in next_lucky[~moving].tolist()]
-    return min(due, default=dyn.NEVER)
-
-
-@pytest.mark.parametrize("p", [0.0, 0.008, 0.5, 1.0])
-def test_coin_step_is_the_first_step_with_coin_work(p):
-    # with the walk flags held, every step's lucky agents are the one-coin
-    # oracle's, the coin step returned is the first later step whose entry
-    # falls due, and once the oracle has flipped every coin drawn ahead, it
-    # leaves every stream where the drawn-ahead calls did
+def restart_windows(p, seed):
+    """Random windows over 5000 steps, each started where the last ends as an
+    ``engine.step`` stretch with its walk flags held would: the step after its
+    lucky step, else its ``until``.  Each window's result is the one-coin
+    oracle's; returns how many windows started inside a stopped agent's block
+    and how many ended at an agent's lucky step that was not reported."""
     params = SimParams(p_restart=p)
     moving = np.random.default_rng(3).random(12) < 0.3
     ahead = [np.random.default_rng(80 + i) for i in range(12)]
     oracle = [np.random.default_rng(80 + i) for i in range(12)]
-    entries, steps, skips = np.full(12, ~0), 5000, 0
-    for t in range(steps):
-        lucky, entries, next_coin = dyn.restart_coins(t, moving, entries, params, ahead)
-        assert np.array_equal(lucky, one_coin_per_step(t, moving, None, params, oracle)[0]), t
-        assert next_coin == coin_step(t + 1, moving, entries), t
-        skips += next_coin > t + 1
+    lengths = np.random.default_rng(seed)
+    entries, t, steps, inside, at_until = np.full(12, ~0), 0, 5000, 0, 0
+    while t < steps:
+        until = min(steps, t + int(lengths.integers(1, 40)))
+        inside += any(~entry > t for entry in entries[~moving].tolist())
+        step, lucky, entries = dyn.restart_coins(t, until, moving, entries, params, ahead)
+        want = one_coin_per_step(t, until, moving, None, params, oracle)
+        assert step == want[0] and np.array_equal(lucky, want[1]), t
+        at_until += step == until and bool((entries[~moving] == until).any())
+        t = min(step + 1, until)
     for i in np.flatnonzero(~moving).tolist():
         # coins are drawn through the lucky step, or up to step ~entry
         drawn_to = entries[i] + 1 if entries[i] >= 0 else ~entries[i]
         oracle[i].random(drawn_to - steps)
     for a, b in zip(ahead, oracle):
         assert a.bit_generator.state == b.bit_generator.state
-    # steps without coin work exist below p = 1; at p = 0.5 some stopped agent
-    # is lucky at nearly every step
-    if p != 0.5:
-        assert (skips > 0) == (p < 1.0)
+    return inside, at_until
+
+
+@pytest.mark.parametrize("p", [0.0, 0.008, 0.5, 1.0])
+def test_restart_coins_over_windows_match_one_coin_per_step(p):
+    # every window's first lucky step and lucky agents are the oracle's, and
+    # once the oracle has flipped every coin drawn ahead, it leaves every
+    # stream where the drawn-ahead calls did
+    inside, at_until = restart_windows(p, seed=5)
+    # below p = 1 blocks outlast windows; at p = 1 every coin is lucky
+    assert (inside > 0) == (p < 1.0)
+    assert (at_until > 0) == (0.0 < p < 1.0)
+
+
+def test_restart_coins_window_inside_a_block_and_lucky_at_until():
+    # p = 0: a window starting inside a block draws the next block from the
+    # block's end, here step 4096, not from the window's start
+    params, moving = SimParams(p_restart=0.0), np.array([False])
+    rngs, fresh = [np.random.default_rng(90)], np.random.default_rng(90)
+    step, lucky, entries = dyn.restart_coins(0, 10, moving, np.array([~0]), params, rngs)
+    assert (step, lucky[0], entries[0]) == (10, False, ~4096)
+    step, lucky, entries = dyn.restart_coins(10, 4100, moving, entries, params, rngs)
+    assert (step, lucky[0], entries[0]) == (4100, False, ~8192)
+    fresh.random(8192)
+    assert rngs[0].bit_generator.state == fresh.bit_generator.state
+    # p = 0.5: an agent whose first lucky coin is step 3's is not lucky in the
+    # window [1, 3) that ends there, and is in [3, 4), as for the oracle
+    params = SimParams(p_restart=0.5)
+    rngs, oracle = [np.random.default_rng(4)], [np.random.default_rng(4)]
+    entries = np.array([~0])
+    for t, until, want in ((0, 1, 1), (1, 3, 3), (3, 4, 3)):
+        step, lucky, entries = dyn.restart_coins(t, until, moving, entries, params, rngs)
+        assert entries[0] == 3 and step == want, t
+        want_step, want_lucky, _ = one_coin_per_step(t, until, moving, None, params, oracle)
+        assert (step, lucky[0]) == (want_step, want_lucky[0]), t
+        assert lucky[0] == (want < until)
+    assert rngs[0].bit_generator.state == oracle[0].bit_generator.state
 
 
 # ------------------------------------------------------------- reorientation

@@ -416,32 +416,30 @@ def check_stretches_match_one_step_calls(cell, seed, steps, monkeypatch):
     one-step calls; its percept calls hold at most ``MAX_SNAPSHOTS`` snapshots
     and, past their first snapshot's, ``PAIR_BUDGET`` kept pairs.
 
-    Returns the trial's result, the number of calls that passed a later step
-    where a block of coins was merely due, and the number that ended at a
-    later step with a lucky agent."""
+    Returns the trial's result, the number of calls that ran through a later
+    step where a stopped agent's block of coins fell due, and the number that
+    ended at a later step with a lucky agent, both read from the carried
+    ``next_lucky`` entries before and after each call."""
     desk = config.parse_config(DESK).params
     params = replace(desk, horizon_steps=steps, **STRETCH_CELLS[cell])
     worlds, stops, collisions, encounters, one_step_streams = one_step_trial(params, seed)
 
-    stepper, summaries, coins = engine.step, perception.world_summaries, dynamics.restart_coins
-    calls, kernel, coin_steps, streams = [], [], [], []
+    stepper, summaries = engine.step, perception.world_summaries
+    calls, kernel, streams = [], [], []
     passed = lucky_ends = 0
 
     def record_step(world, rngs, steps=1):
         nonlocal passed, lucky_ends
-        coin_steps.clear()
         new_world, events = stepper(world, rngs, steps)
         calls.append(new_world)
         streams[:] = rngs
         t, last = world.time_step, new_world.time_step - 1
-        passed += any(t < s < last and not lucky for s, lucky in coin_steps)
-        lucky_ends += any(t < s == last and lucky for s, lucky in coin_steps)
+        # a block ~s falls due at step s, and a lucky entry marks its step
+        before = world.next_lucky[~world.moving].tolist()
+        after = new_world.next_lucky[~world.moving].tolist()
+        passed += any(entry < 0 and t < ~entry <= last for entry in before)
+        lucky_ends += t < last and last in after
         return new_world, events
-
-    def record_coins(t, moving, next_lucky, params, rngs):
-        lucky, next_lucky, coin = coins(t, moving, next_lucky, params, rngs)
-        coin_steps.append((t, bool(np.count_nonzero(lucky))))
-        return lucky, next_lucky, coin
 
     def record_kernel(pos, frames, rel_vel, params, pairs):
         kernel.append((pos.shape[1], np.count_nonzero(pairs)))
@@ -449,7 +447,6 @@ def check_stretches_match_one_step_calls(cell, seed, steps, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(engine, "step", record_step)
-        patch.setattr(dynamics, "restart_coins", record_coins)
         patch.setattr(perception, "world_summaries", record_kernel)
         result = engine.run_trial(params, seed, log_trajectories=True)
 

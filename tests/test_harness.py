@@ -490,6 +490,8 @@ def test_verify_catches_flipped_rotation_convention(monkeypatch, name, suite):
     monkeypatch.setattr(geo, name, flipped)
     report = verify_theorems(sample_count=50, seed=4)
     assert suite in {s.name for s in report.suites if not s.passed}
+    # a check reports each of its counterexamples once
+    assert all(len(s.counterexamples) <= s.checked for s in report.suites)
 
 
 # --------------------------------------------------------------------- CLI
