@@ -28,17 +28,22 @@ trajectory log of ``run_trial`` keeps each step's arrays uncopied.
 
 Between walk-flag changes nothing but positions changes: the headings,
 velocities and cull radii hold, and until a stopped agent restarts only its
-own restart coins read its stream.  So ``step`` takes a stretch of such
-steps in one pass: one ``dynamics.restart_coins`` call draws the coins the
-stretch needs and ends it at its first step with a lucky agent; it gets the
-positions of its snapshots from one ``dynamics.track``; measures their pairs
-in one ``pair_deltas`` call and evaluates their percepts in one
-``world_summaries`` call; and accepts every snapshot before the first whose
-walk flags change.  That step is then taken as a single step is.  A call's
-contacts and encounters come from one pass over the range levels after each
-of its steps, in step order, and the spread decays by the stretch's product
-in sequence, so every output, and every stream's state, has the bits of one
-step at a time.
+own restart coins read its stream.  So one ``step`` call takes every step up
+to its first walk-flag change, or ``MAX_STEPS`` of them.  A
+``dynamics.restart_coins`` call draws the coins of the steps ahead and finds
+the first with a lucky agent; where that agent stays stopped, the call goes on
+from the next step with another.  The snapshots are evaluated in chunks, each
+with its positions from one ``dynamics.track``, its pairs measured in one
+``pair_deltas`` call and its percepts from one ``world_summaries`` call; each
+chunk may keep more pairs than the one before, so a long stretch costs few
+percept calls and one that flips early discards at most one chunk.  Every
+snapshot before the first whose walk flags change is accepted, and that step
+is then taken as a single step is.  A world with no walker is frozen: nothing
+moves, no pair is kept and only a lucky step can change a flag, so it reads its
+lucky steps alone.  A call's contacts and encounters come from one pass over
+the range levels after each of its steps, in step order, and the spread
+decays by the stretch's product in sequence, so every output, and every
+stream's state, has the bits of one step at a time.
 
 Everything is deterministic in (params, seed): each agent consumes
 randomness only from its own stream.
@@ -171,7 +176,14 @@ def _pairs(mask: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(i.tolist(), j.tolist()))
 
 
-# Snapshots one ``step`` call evaluates at most.  Measured on the desk cell
+# Steps one ``step`` call takes at most, so that the rows it carries (a
+# position and a dist2 row per step) and the coins it draws ahead stay
+# bounded.  Measured on the CVA 0, T_grm 0.1, T_loom 4 cell (2 vCPUs, numpy
+# 2.4, 5 interleaved 10 000-step trials, process time): 64 took 1.02 of 128's
+# time and 256 took 0.97; at CVA 90 all three were within 1%.
+MAX_STEPS = 128
+
+# Snapshots one percept call evaluates at most.  Measured on the desk cell
 # with stretches ending only at walk-flag changes and lucky steps (2 vCPUs,
 # numpy 2.4, 16 interleaved 2000-step trials, process time per step): 32 took
 # 0.86 of 16's time, lower in 15 of 16 trials; 64 took 1.04 of 32's, lower
@@ -179,99 +191,156 @@ def _pairs(mask: np.ndarray) -> list[tuple[int, int]]:
 # calls, 32 took 0.96 of 16's and 64 0.98.
 MAX_SNAPSHOTS = 32
 
-# Kept (snapshot, pair) entries one percept call may hold, unless its first
-# snapshot alone has more, so that a call's temporaries stay within one
-# crowded step's.  Without it one N = 30 crowd trial (T_grm 1, T_loom 4, 2000
-# steps) grew a fresh process's peak resident memory by 23 MB, against
-# 1.8-1.9 MB for one-step calls; with it by 1.7-1.8 MB (seeds 0-2).
+# Kept (snapshot, pair) entries the first percept call of a ``step`` call may
+# hold, unless its first snapshot alone has more; each later one may hold four
+# times as many as the one before, up to ``PAIR_CEILING``.  The bounds keep a
+# call's temporaries near one crowded step's: without them one N = 30 crowd
+# trial (T_grm 1, T_loom 4, 2000 steps) grew a fresh process's peak resident
+# memory by 23 MB; with them two such trials grew it by 2.5 MB, against 1.2-1.3
+# MB with one percept call of at most 128 pairs per call.  Measured as for
+# ``MAX_STEPS``, 5 interleaved runs: on the desk cell (8 trials each) a budget
+# of 64 took 1.05 of 128's time and 32 took 1.09, on the CVA 0, T_grm 0.1 cell
+# 64 took 1.05; on the crowd they were even.  On the four ``fullscale_sample``
+# cells back to back a ceiling of 256 took 1.03 of 512's time and 1024 took
+# 1.00, while two 10 000-step CVA 0, T_grm 0.1 trials grew peak resident
+# memory by 1.1 MB at 256, 1.9 MB at 512 and 3.6 MB at 1024.
 PAIR_BUDGET = 128
+PAIR_CEILING = 512
 
 
 def step(world: WorldState, rngs: list[RngStream],
          steps: int = 1) -> tuple[WorldState, StepEvents]:
-    """Advance the world by one step or more, at most ``steps``; returns the
-    new world and the events of the steps taken, in step order.
+    """Advance the world by one step or more, at most ``steps`` and
+    ``MAX_STEPS``; returns the new world and the events of the steps taken,
+    in step order.  The call ends at its first walk-flag change, or after
+    that many steps.
 
-    The call evaluates K snapshots from the world's on.  K is at most
-    ``steps`` and ``MAX_SNAPSHOTS``, the snapshots after the first keep at
-    most ``PAIR_BUDGET`` pairs together with the first's, and the first
-    snapshot whose step has a lucky agent is the last, that agent an
-    observer there only; one ``dynamics.restart_coins`` call over the K steps
-    draws their coins and finds it.  Their positions come from one
-    ``dynamics.track`` with the carried motion, their percepts from one
-    ``perception.world_summaries`` call.  Every step before the first
-    snapshot whose walk flags change is accepted; that snapshot's step, or
-    the K-th's, is then taken as a single step is.  So ``steps=1`` is one
-    step, and a call ends at every walk-flag change.
+    ``dynamics.restart_coins`` draws the coins of the steps ahead and finds
+    the first with a lucky agent, an observer there only.  If no flag changes
+    there, a new ``restart_coins`` call goes on from the next step.  The
+    snapshots are evaluated in chunks of at most ``MAX_SNAPSHOTS``, none past
+    the lucky step: a chunk's positions come from one
+    ``dynamics.track`` with the carried motion and its percepts from one
+    ``perception.world_summaries`` call, and its snapshots after the first
+    keep at most its budget of pairs together with the first's, the first
+    chunk's being ``PAIR_BUDGET``.  Every step before the first snapshot whose
+    walk flags change is accepted, and that snapshot's step, or the last
+    one's, is then taken as a single step is.  A world with no walker is
+    frozen: it keeps no pair, so its positions, pair displacements and range
+    levels stand, and only its lucky steps are read, on zero percepts.  So
+    ``steps=1`` is one step.
     """
     params = world.params
     t = world.time_step
     n = len(world.pos)
-    # an unlucky stopped agent stays stopped whatever it sees, and a rate below
-    # both thresholds changes no decision, so neither is evaluated
-    near = world.dist2 <= world.motion.reach2
-    kept = near & world.moving[:, None]
-    first = np.count_nonzero(kept)
-    snaps = min(steps, MAX_SNAPSHOTS, max(1, PAIR_BUDGET // max(first, 1)))
-    # the stretch's first step with a lucky agent is its last snapshot
+    until = t + min(steps, MAX_STEPS)
+    moving, motion = world.moving, world.motion
     lucky_step, lucky, next_lucky = dynamics.restart_coins(
-        t, t + snaps, world.moving, world.next_lucky, params, rngs)
-    snaps = min(snaps, lucky_step - t + 1)
-    if lucky_step == t:
-        kept = near & (world.moving | lucky)[:, None]
-    # each snapshot's lucky agents; only the last may have any
-    lucky_at = np.zeros((snaps, n), dtype=bool)
-    lucky_at[-1] = lucky
-    track = dynamics.track(world.pos, world.motion.disp, snaps, params)
-    centres = dist2s = None
-    kept = kept[None]
-    if snaps > 1:
-        centres = pair_deltas(track[1:], params.arena)
-        dist2s = centres[..., 0] ** 2 + centres[..., 1] ** 2
-        ahead = (dist2s <= world.motion.reach2) & (world.moving | lucky_at[1:])[..., None]
-        running = first + np.count_nonzero(ahead, axis=(1, 2)).cumsum()
-        snaps = 1 + int(running.searchsorted(PAIR_BUDGET, side="right"))
-        kept = np.concatenate((kept, ahead[:snaps - 1]))
-    summary = perception.world_summaries(track[:snaps].swapaxes(0, 1), world.frames,
-                                         world.motion.rel_vel, params, kept)
-    flags = dynamics.control_step(
-        world.moving, summary.max_grm, summary.omega_loom, params, lucky_at[:snaps])
-    # the steps before the last snapshot keep every flag
-    changes = (flags != world.moving).ravel()
-    first_change = int(changes.argmax())
-    flipped = bool(changes[first_change])
-    last = first_change // n if flipped else snaps - 1
-
-    events = StepEvents(list(track[1:last + 1]))
-    sigma = dynamics.sigma_after(world.sigma, last, params) if last else world.sigma
+        t, until, moving, world.next_lucky, params, rngs)
+    events = StepEvents([])
+    levels, t_enter = world.levels, world.t_enter
+    rows = []  # dist2 after each accepted step
+    # u is the step of the last chunk's first snapshot, ``centre`` its pair
+    # displacements; ``last`` indexes the chunk's last snapshot taken
+    u, centre = t, world.centre
+    if not np.count_nonzero(moving):
+        # every reach2 is -1: no pair is kept, and only a lucky step can
+        # change a flag
+        zero = np.zeros(n)
+        after, flipped = moving, False
+        while lucky_step < until:
+            after = dynamics.control_step(moving, zero, zero, params, lucky)
+            flipped = bool(np.count_nonzero(after))
+            if flipped or lucky_step == until - 1:
+                break
+            lucky_step, lucky, next_lucky = dynamics.restart_coins(
+                lucky_step + 1, until, moving, next_lucky, params, rngs)
+        u, last, track = min(lucky_step, until - 1), 0, world.pos[None]
+        events.positions += [world.pos] * (u - t)
+        if u > t and not t:
+            # a new world's levels are all 2, every other's those of its dist2
+            levels, t_enter = _level_events(t, range_levels(world.dist2[None], params),
+                                            levels, t_enter, events)
+    else:
+        pos, dist2 = world.pos, world.dist2
+        budget = PAIR_BUDGET
+        while True:
+            # an unlucky stopped agent stays stopped whatever it sees, and a rate
+            # below both thresholds changes no decision, so neither is evaluated
+            observers = moving | lucky if u == lucky_step else moving
+            kept = (dist2 <= motion.reach2) & observers[:, None]
+            first = np.count_nonzero(kept)
+            # a chunk ends at the lucky step at the latest
+            snaps = min(min(lucky_step + 1, until) - u, MAX_SNAPSHOTS,
+                        max(1, budget // max(first, 1)))
+            # each snapshot's lucky agents; only the lucky step's has any
+            lucky_at = np.zeros((snaps, n), dtype=bool)
+            if u + snaps - 1 == lucky_step:
+                lucky_at[-1] = lucky
+            track = dynamics.track(pos, motion.disp, snaps, params)
+            centres = dist2s = None
+            kept = kept[None]
+            if snaps > 1:
+                centres = pair_deltas(track[1:], params.arena)
+                dist2s = centres[..., 0] ** 2 + centres[..., 1] ** 2
+                ahead = (dist2s <= motion.reach2) & (moving | lucky_at[1:])[..., None]
+                running = first + np.count_nonzero(ahead, axis=(1, 2)).cumsum()
+                snaps = 1 + int(running.searchsorted(budget, side="right"))
+                kept = np.concatenate((kept, ahead[:snaps - 1]))
+            summary = perception.world_summaries(track[:snaps].swapaxes(0, 1), world.frames,
+                                                 motion.rel_vel, params, kept)
+            flags = dynamics.control_step(moving, summary.max_grm, summary.omega_loom,
+                                          params, lucky_at[:snaps])
+            changes = (flags != moving).ravel()
+            first_change = int(changes.argmax())
+            flipped = bool(changes[first_change])
+            last = first_change // n if flipped else snaps - 1
+            if flipped or u + last == until - 1:
+                break
+            # every snapshot is accepted, and the next chunk starts a step on
+            if snaps < len(track):
+                pos, centre, dist2 = track[snaps], centres[snaps - 1], dist2s[snaps - 1]
+            else:
+                pos = dynamics.advance(track[-1], motion.disp, params)
+                centre = pair_deltas(pos, params.arena)
+                dist2 = centre[..., 0] ** 2 + centre[..., 1] ** 2
+            events.positions += [*track[1:snaps], pos]
+            rows += [dist2s[:snaps - 1], dist2[None]] if snaps > 1 else [dist2[None]]
+            if u + last == lucky_step:
+                lucky_step, lucky, next_lucky = dynamics.restart_coins(
+                    u + snaps, until, moving, next_lucky, params, rngs)
+            u += snaps
+            budget = min(4 * budget, PAIR_CEILING)
+        after = flags[last]
 
     # the last snapshot's step
-    t_last = t + last
-    moving = flags[last]
-    stopping = world.moving & ~moving
-    heading, motion, frames = world.heading, world.motion, world.frames
+    t_last = u + last
+    stopping = moving & ~after
+    heading, frames = world.heading, world.frames
+    sigma = dynamics.sigma_after(world.sigma, t_last - t, params) if t_last > t else world.sigma
     # headings change only at stops, velocities at stops and restarts
     if flipped:
         if np.count_nonzero(stopping):
             heading = dynamics.reorient_on_stop(world.heading, sigma, stopping, rngs)
             heading.flags.writeable = False
             frames = perception.body_frames(heading, params)
-            centre = centres[last - 1] if last else world.centre
-            at_stop = summary.snapshot(last)
-            events.stops = [_stop_record(t_last, i, centre, world, at_stop)
+            at_stop = centres[last - 1] if last else centre
+            percepts = summary.snapshot(last)
+            events.stops = [_stop_record(t_last, i, at_stop, world, percepts)
                             for i in np.flatnonzero(stopping).tolist()]
-        motion = dynamics.motion(frames, world.speed, moving, params)
+        motion = dynamics.motion(frames, world.speed, after, params)
     sigma = dynamics.decay_sigma(sigma, stopping, params)
     pos = dynamics.advance(track[last], motion.disp, params)
-    events.positions.append(pos)
+    events.positions += [*track[1:last + 1], pos]
 
     centre = pair_deltas(pos, params.arena)
     dist2 = centre[..., 0] ** 2 + centre[..., 1] ** 2
-    # the range levels after steps t + 1 ... t_last + 1
-    rows = np.concatenate((dist2s[:last], dist2[None])) if last else dist2[None]
-    levels, t_enter = _level_events(t, range_levels(rows, params), world.levels,
-                                    world.t_enter, events)
-    new_world = WorldState(t_last + 1, pos, heading, world.speed, moving, sigma, params,
+    # the range levels after each accepted step, the last after t_last
+    rows += [dist2s[:last], dist2[None]] if last else [dist2[None]]
+    rows = np.concatenate(rows) if len(rows) > 1 else rows[0]
+    levels, t_enter = _level_events(t_last + 1 - len(rows), range_levels(rows, params),
+                                    levels, t_enter, events)
+    new_world = WorldState(t_last + 1, pos, heading, world.speed, after, sigma, params,
                            t_enter, motion, frames, centre, dist2, levels, next_lucky)
     return new_world, events
 

@@ -376,10 +376,12 @@ STRETCH_CELLS = {
     "desk": {},
     "T = 32": dict(t_grm=32.0, t_loom=32.0),
     "low floor": dict(cva=0.0, t_grm=0.1, t_loom=4.0),
+    "frozen": dict(cva=math.radians(90.0), t_grm=0.1, t_loom=4.0),
     "crowd": dict(n_agents=30, t_grm=1.0, t_loom=4.0),
     "p_restart 1": dict(p_restart=1.0),
     "p_restart 0": dict(p_restart=0.0),
     "CVA 90": dict(cva=math.radians(90.0)),
+    "T_grm 0": dict(t_grm=0.0),
 }
 
 
@@ -413,41 +415,60 @@ def world_arrays(world):
 def check_stretches_match_one_step_calls(cell, seed, steps, monkeypatch):
     """``run_trial``, which takes event-free stretches in one call, gives the
     records, labels, last world, logged trajectory and final stream states of
-    one-step calls; its percept calls hold at most ``MAX_SNAPSHOTS`` snapshots
-    and, past their first snapshot's, ``PAIR_BUDGET`` kept pairs.
+    one-step calls.  Every call ends at a walk-flag change unless it takes
+    all the steps it may, and its percept calls, the chunks of its snapshots,
+    hold at most ``MAX_SNAPSHOTS`` snapshots and, past their first snapshot's,
+    their budget of kept pairs: ``PAIR_BUDGET`` for a call's first chunk and
+    four times the one before for each later chunk, up to ``PAIR_CEILING``.
 
-    Returns the trial's result, the number of calls that ran through a later
-    step where a stopped agent's block of coins fell due, and the number that
-    ended at a later step with a lucky agent, both read from the carried
-    ``next_lucky`` entries before and after each call."""
+    Returns the trial's result and counts of its calls: "passed" ran through
+    a later step where a stopped agent's block of coins fell due,
+    "lucky_ends" ended at a later step with a lucky agent, both read from the
+    carried ``next_lucky`` entries before and after each call, and
+    "lucky_passes" ran through a lucky step whose agent stayed stopped, each
+    making one more ``restart_coins`` call; "snapshots" is the most snapshots
+    a percept call held."""
     desk = config.parse_config(DESK).params
     params = replace(desk, horizon_steps=steps, **STRETCH_CELLS[cell])
     worlds, stops, collisions, encounters, one_step_streams = one_step_trial(params, seed)
 
-    stepper, summaries = engine.step, perception.world_summaries
-    calls, kernel, streams = [], [], []
-    passed = lucky_ends = 0
+    stepper, summaries, coins = engine.step, perception.world_summaries, dynamics.restart_coins
+    calls, kernel, streams, coin_calls = [], [], [], []
+    passed = lucky_ends = lucky_passes = 0
 
     def record_step(world, rngs, steps=1):
-        nonlocal passed, lucky_ends
+        nonlocal passed, lucky_ends, lucky_passes
+        chunks, coin_calls[:] = len(kernel), []
         new_world, events = stepper(world, rngs, steps)
         calls.append(new_world)
         streams[:] = rngs
         t, last = world.time_step, new_world.time_step - 1
+        assert (not np.array_equal(new_world.moving, world.moving)
+                or last + 1 - t == min(steps, engine.MAX_STEPS))
+        budget = engine.PAIR_BUDGET
+        for k, kept in kernel[chunks:]:
+            assert k <= engine.MAX_SNAPSHOTS and (k == 1 or kept <= budget)
+            budget = min(4 * budget, engine.PAIR_CEILING)
         # a block ~s falls due at step s, and a lucky entry marks its step
         before = world.next_lucky[~world.moving].tolist()
         after = new_world.next_lucky[~world.moving].tolist()
         passed += any(entry < 0 and t < ~entry <= last for entry in before)
         lucky_ends += t < last and last in after
+        lucky_passes += len(coin_calls) > 1
         return new_world, events
 
     def record_kernel(pos, frames, rel_vel, params, pairs):
         kernel.append((pos.shape[1], np.count_nonzero(pairs)))
         return summaries(pos, frames, rel_vel, params, pairs)
 
+    def record_coins(t, until, *args):
+        coin_calls.append(t)
+        return coins(t, until, *args)
+
     with monkeypatch.context() as patch:
         patch.setattr(engine, "step", record_step)
         patch.setattr(perception, "world_summaries", record_kernel)
+        patch.setattr(dynamics, "restart_coins", record_coins)
         result = engine.run_trial(params, seed, log_trajectories=True)
 
     assert stop_rows(result.stops) == stop_rows(stops)
@@ -465,23 +486,29 @@ def check_stretches_match_one_step_calls(cell, seed, steps, monkeypatch):
     # no coin is drawn that one-step calls would not draw
     assert ([r.bit_generator.state for r in streams]
             == [r.bit_generator.state for r in one_step_streams])
-
-    snapshots = np.array([k for k, _ in kernel])
-    assert len(calls) < steps and snapshots.max() > 1
-    assert snapshots.max() <= engine.MAX_SNAPSHOTS
-    assert all(k == 1 or kept <= engine.PAIR_BUDGET for k, kept in kernel)
-    return result, passed, lucky_ends
+    assert len(calls) < steps
+    return result, dict(passed=passed, lucky_ends=lucky_ends, lucky_passes=lucky_passes,
+                        snapshots=max(k for k, _ in kernel))
 
 
 @pytest.mark.parametrize("cell, seed", [("desk", 3), ("T = 32", 2), ("low floor", 1)])
 def test_stretches_match_one_step_calls(cell, seed, monkeypatch):
     # seeds whose 300 steps hold restarts, so some stretches end at a later
-    # step with a lucky agent
-    result, _, lucky_ends = check_stretches_match_one_step_calls(cell, seed, 300, monkeypatch)
+    # step with a lucky agent, and at the low floor some run through one
+    result, counts = check_stretches_match_one_step_calls(cell, seed, 300, monkeypatch)
     moving = result.trajectory.moving
     assert ((moving[:-1] == 1) & (moving[1:] == 0)).any()
     assert ((moving[:-1] == 0) & (moving[1:] == 1)).any()
-    assert lucky_ends > 0
+    assert counts["lucky_ends"] > 0 and counts["snapshots"] > 1
+    assert cell != "low floor" or counts["lucky_passes"] > 0
+
+
+def test_frozen_worlds_match_one_step_calls(monkeypatch):
+    # at CVA 90, T_grm 0.1 every agent is soon stopped; each such world reads
+    # only its lucky steps until one restarts
+    result, _ = check_stretches_match_one_step_calls("frozen", 0, 300, monkeypatch)
+    frozen = ~result.trajectory.moving.any(axis=1)
+    assert (frozen[:-1] & ~frozen[1:]).any()
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -489,8 +516,8 @@ def test_stretches_pass_steps_where_a_block_is_merely_due(seed, monkeypatch):
     # at p_restart 0 a stopped agent never restarts and draws a block of 4096
     # coins at its first stopped step and every 4096 steps after; the
     # stretches run through the steps where the second blocks fall due
-    _, passed, _ = check_stretches_match_one_step_calls("p_restart 0", seed, 4200, monkeypatch)
-    assert passed > 0
+    _, counts = check_stretches_match_one_step_calls("p_restart 0", seed, 4200, monkeypatch)
+    assert counts["passed"] > 0
 
 
 @pytest.mark.slow
