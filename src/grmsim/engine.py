@@ -34,14 +34,15 @@ to its first walk-flag change, or ``MAX_STEPS`` of them.  A
 the first with a lucky agent; where that agent stays stopped, the call goes on
 from the next step with another.  The snapshots are evaluated in chunks, each
 with its positions from one ``dynamics.track``, its pairs measured in one
-``pair_deltas`` call and its percepts from one ``world_summaries`` call; each
-chunk may keep more pairs than the one before, so a long stretch costs few
-percept calls and one that flips early discards at most one chunk.  Every
+``pair_deltas`` call and its percepts from one ``world_summaries`` call; the
+chunks after the first may keep more pairs than it, so a long stretch costs
+few percept calls and one that flips early discards at most one chunk.  Every
 snapshot before the first whose walk flags change is accepted, and that step
-is then taken as a single step is.  A world with no walker is frozen: nothing
-moves, no pair is kept and only a lucky step can change a flag, so it reads its
-lucky steps alone.  A call's contacts and encounters come from one pass over
-the range levels after each of its steps, in step order, and the spread
+is then taken as a single step is.  A world past step 0 with no walker is
+frozen: nothing moves, no pair is kept and only a lucky step can change a
+flag, so a call on it reads its first lucky step alone and ends there.  A
+call's contacts and encounters come from one pass over the range levels
+after each of its steps, in step order, and the spread
 decays by the stretch's product in sequence, so every output, and every
 stream's state, has the bits of one step at a time.
 
@@ -192,10 +193,9 @@ MAX_STEPS = 128
 MAX_SNAPSHOTS = 32
 
 # Kept (snapshot, pair) entries the first percept call of a ``step`` call may
-# hold, unless its first snapshot alone has more; each later one may hold four
-# times as many as the one before, up to ``PAIR_CEILING``.  The bounds keep a
-# call's temporaries near one crowded step's: without them one N = 30 crowd
-# trial (T_grm 1, T_loom 4, 2000 steps) grew a fresh process's peak resident
+# hold, unless its first snapshot alone has more; each later one may hold
+# ``PAIR_CEILING``.  The bounds keep a call's temporaries near one crowded
+# step's: without them one N = 30 crowd trial (T_grm 1, T_loom 4, 2000 steps) grew a fresh process's peak resident
 # memory by 23 MB; with them two such trials grew it by 2.5 MB, against 1.2-1.3
 # MB with one percept call of at most 128 pairs per call.  Measured as for
 # ``MAX_STEPS``, 5 interleaved runs: on the desk cell (8 trials each) a budget
@@ -212,22 +212,23 @@ def step(world: WorldState, rngs: list[RngStream],
          steps: int = 1) -> tuple[WorldState, StepEvents]:
     """Advance the world by one step or more, at most ``steps`` and
     ``MAX_STEPS``; returns the new world and the events of the steps taken,
-    in step order.  The call ends at its first walk-flag change, or after
-    that many steps.
+    in step order.  The call ends at its first walk-flag change, after that
+    many steps or, in a frozen world, at its first lucky step.
 
     ``dynamics.restart_coins`` draws the coins of the steps ahead and finds
     the first with a lucky agent, an observer there only.  If no flag changes
     there, a new ``restart_coins`` call goes on from the next step.  The
     snapshots are evaluated in chunks of at most ``MAX_SNAPSHOTS``, none past
-    the lucky step: a chunk's positions come from one
-    ``dynamics.track`` with the carried motion and its percepts from one
+    the lucky step: a chunk's positions come from one ``dynamics.track`` with
+    the carried motion and its percepts from one
     ``perception.world_summaries`` call, and its snapshots after the first
-    keep at most its budget of pairs together with the first's, the first
-    chunk's being ``PAIR_BUDGET``.  Every step before the first snapshot whose
-    walk flags change is accepted, and that snapshot's step, or the last
-    one's, is then taken as a single step is.  A world with no walker is
-    frozen: it keeps no pair, so its positions, pair displacements and range
-    levels stand, and only its lucky steps are read, on zero percepts.  So
+    keep at most its budget of pairs together with the first's:
+    ``PAIR_BUDGET`` for the first chunk, ``PAIR_CEILING`` for each later one.
+    Every step before the first snapshot whose walk flags change is accepted,
+    and that snapshot's step, or the last one's, is then taken as a single
+    step is.  A world past step 0 with no walker is frozen: it keeps no pair,
+    so its positions, pair displacements and range levels stand, and the call
+    reads its first lucky step alone, on zero percepts, and ends there.  So
     ``steps=1`` is one step.
     """
     params = world.params
@@ -243,24 +244,15 @@ def step(world: WorldState, rngs: list[RngStream],
     # u is the step of the last chunk's first snapshot, ``centre`` its pair
     # displacements; ``last`` indexes the chunk's last snapshot taken
     u, centre = t, world.centre
-    if not np.count_nonzero(moving):
-        # every reach2 is -1: no pair is kept, and only a lucky step can
-        # change a flag
+    if t and not np.count_nonzero(moving):
+        # every reach2 is -1, so no pair is kept and the carried levels are
+        # those of dist2; only a lucky step can change a flag, and the call
+        # ends at the first
         zero = np.zeros(n)
-        after, flipped = moving, False
-        while lucky_step < until:
-            after = dynamics.control_step(moving, zero, zero, params, lucky)
-            flipped = bool(np.count_nonzero(after))
-            if flipped or lucky_step == until - 1:
-                break
-            lucky_step, lucky, next_lucky = dynamics.restart_coins(
-                lucky_step + 1, until, moving, next_lucky, params, rngs)
+        after = dynamics.control_step(moving, zero, zero, params, lucky)
+        flipped = bool(np.count_nonzero(after))
         u, last, track = min(lucky_step, until - 1), 0, world.pos[None]
         events.positions += [world.pos] * (u - t)
-        if u > t and not t:
-            # a new world's levels are all 2, every other's those of its dist2
-            levels, t_enter = _level_events(t, range_levels(world.dist2[None], params),
-                                            levels, t_enter, events)
     else:
         pos, dist2 = world.pos, world.dist2
         budget = PAIR_BUDGET
@@ -310,7 +302,7 @@ def step(world: WorldState, rngs: list[RngStream],
                 lucky_step, lucky, next_lucky = dynamics.restart_coins(
                     u + snaps, until, moving, next_lucky, params, rngs)
             u += snaps
-            budget = min(4 * budget, PAIR_CEILING)
+            budget = PAIR_CEILING
         after = flags[last]
 
     # the last snapshot's step
